@@ -42,9 +42,7 @@ from .hn import (
     FieldContext,
     HNPiece,
     HNType,
-    SplittingType,
     as_fraction,
-    global_invariants,
     hn_from_splitting_type,
     make_hn_type,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "PositivityClass",
     "QuotientRankOutOfRangeError",
     "RayGr",
-    "SplittingType",
     "ThetaBreakdown",
     "VaBundle",
     "ValidationError",
@@ -98,7 +95,6 @@ __all__ = [
     "classify_tautological",
     "enumerate_va",
     "flag_nef_cone",
-    "global_invariants",
     "grassmann_nef_cone",
     "hn_from_splitting_type",
     "is_ample_gr",

@@ -1,48 +1,39 @@
 """Command-line front end: JSON bundle specs in, exact rational reports out.
 
 All arithmetic happens in the core modules; this layer parses, dispatches and
-renders.  Rationals travel as reduced "num/den" strings ("/1" omitted) so
-downstream tools never coerce them to floats.  Exit codes: 0 success,
-1 invalid input, 2 internal invariant violation (oracle mismatch).
+renders.  Each subcommand is declared once, in the command table
+``_COMMANDS``: its help, its options, the function computing its result and
+its text layout.  The argparse tree is built from the table once per process.
+Rationals travel as reduced "num/den" strings ("/1" omitted) so downstream
+tools never coerce them to floats.  Exit codes: 0 success, 1 invalid input,
+2 internal invariant violation (oracle mismatch).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Sequence, TextIO
+from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
-from .cones import (
-    FlagType,
-    NSClassFlag,
-    NSClassGr,
-    flag_nef_cone,
-    grassmann_nef_cone,
-    is_ample_gr,
-    is_nef_flag,
-    is_nef_gr,
-)
+from .cones import (FlagType, NSClassFlag, NSClassGr, flag_nef_cone, grassmann_nef_cone,
+                    is_ample_gr, is_nef_flag, is_nef_gr)
 from .corpus import iter_hn_types
 from .errors import FlagnefError, ParseError, ValidationError
 from .hn import CHAR_ZERO, FieldContext, HNType, hn_from_splitting_type, make_hn_type
-from .positivity import classify_tautological
+from .positivity import PositivityClass
 from .theta import enumerate_va, theta, theta_oracle
 
 # A Report is a plain JSON-serializable dict with keys command/input/result.
 Report = dict
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9][0-9]*)?$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
-_CORPUS_MAX_RANK = 6
-_CORPUS_MAX_ABS_DEGREE = 4
-
-
-def format_rational(q: Fraction) -> str:
-    """Reduced "num/den" string, with "/1" omitted for integers."""
-    return str(q)
+_CORPUS = {"max_rank": 6, "max_abs_degree": 4}
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
@@ -53,13 +44,24 @@ def _parse_rational(value: Any, where: str) -> Fraction:
     raise ParseError(f"{where}: expected an integer or 'num/den' string, got {value!r}")
 
 
+def _int_arg(text: str) -> int:
+    """An integer option value: ASCII digits with an optional sign, and
+    surrounding whitespace.  ``int()`` alone would also take "1_0" and
+    non-ASCII digits."""
+    if _INT_RE.fullmatch(text.strip()):
+        try:
+            return int(text)
+        except ValueError:  # beyond the int/str conversion limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _load_json(text: str, what: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{what}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        where = f"line {exc.lineno} column {exc.colno}"
+        raise ParseError(f"{what}: invalid JSON at {where}: {exc.msg}") from exc
 
 
 def _read_arg(value: str) -> str:
@@ -79,10 +81,12 @@ def _plain_int(value: Any, where: str) -> int:
     return value
 
 
-def _field_echo(ctx: FieldContext) -> dict:
-    if ctx.is_char_p:
-        return {"char": ctx.p, "frobenius_steps": ctx.delta}
-    return {"char": 0}
+def _validated(build: Callable[..., Any], *args: Any) -> Any:
+    """Call a core constructor; its errors become a ValidationError."""
+    try:
+        return build(*args)
+    except FlagnefError as exc:
+        raise ValidationError(f"{exc.code}: {exc}") from exc
 
 
 def _parse_field(data: Any) -> FieldContext:
@@ -97,10 +101,7 @@ def _parse_field(data: Any) -> FieldContext:
     steps = _plain_int(data.get("frobenius_steps", 0), "field.frobenius_steps")
     if char == 0 and steps != 0:
         raise ParseError("frobenius_steps requires positive characteristic")
-    try:
-        return FieldContext(char, steps) if char else CHAR_ZERO
-    except FlagnefError as exc:
-        raise ValidationError(f"{exc.code}: {exc}") from exc
+    return _validated(FieldContext, char, steps) if char else CHAR_ZERO
 
 
 def _parse_bundle_data(data: Any) -> tuple[HNType, FieldContext, dict]:
@@ -115,28 +116,19 @@ def _parse_bundle_data(data: Any) -> tuple[HNType, FieldContext, dict]:
     ctx = _parse_field(data.get("field"))
     if "pieces" in data:
         raw = data["pieces"]
-        if not isinstance(raw, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in raw
-        ):
+        if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
             raise ParseError("pieces must be a list of [rank, degree] pairs")
-        pairs = [
-            (_plain_int(p[0], "piece rank"), _plain_int(p[1], "piece degree")) for p in raw
-        ]
-        try:
-            h = make_hn_type(pairs)
-        except FlagnefError as exc:
-            raise ValidationError(f"{exc.code}: {exc}") from exc
-        echo = {"pieces": [[p.rank, p.degree] for p in h.pieces], "field": _field_echo(ctx)}
+        pairs = [(_plain_int(p[0], "piece rank"), _plain_int(p[1], "piece degree")) for p in raw]
+        h = _validated(make_hn_type, pairs)
+        echo: dict = {"pieces": [[p.rank, p.degree] for p in h.pieces]}
     else:
         raw = data["splitting"]
         if not isinstance(raw, list):
             raise ParseError("splitting must be a list of integers")
         degrees = [_plain_int(a, "splitting degree") for a in raw]
-        try:
-            h = hn_from_splitting_type(degrees)
-        except FlagnefError as exc:
-            raise ValidationError(f"{exc.code}: {exc}") from exc
-        echo = {"splitting": sorted(degrees, reverse=True), "field": _field_echo(ctx)}
+        h = _validated(hn_from_splitting_type, degrees)
+        echo = {"splitting": sorted(degrees, reverse=True)}
+    echo["field"] = {"char": ctx.p, "frobenius_steps": ctx.delta} if ctx.is_char_p else {"char": 0}
     return h, ctx, echo
 
 
@@ -146,319 +138,220 @@ def parse_bundle_spec(text: str) -> tuple[HNType, FieldContext]:
     return h, ctx
 
 
-def _parse_class_gr(data: Any) -> NSClassGr:
+# Option parsers: raw option value -> (attributes for compute, "input" echo).
+def _bundle(text: str) -> tuple[dict, dict]:
+    h, ctx, echo = _parse_bundle_data(_load_json(_read_arg(text), "bundle spec"))
+    return {"h": h, "ctx": ctx}, echo
+
+
+def _flag(text: str) -> tuple[dict, list]:
+    try:
+        dims = tuple(_int_arg(part) for part in text.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"--flag expects comma-separated integers, got {text!r}") from exc
+    fl = _validated(FlagType, dims)
+    return {"flag": fl}, list(fl.quotient_dims)
+
+
+def _class_gr(text: str) -> tuple[dict, dict]:
+    data = _load_json(_read_arg(text), "class")
     if not isinstance(data, dict) or set(data) != {"x", "y"}:
         raise ParseError('a Grassmann class is an object {"x": ..., "y": ...}')
-    return NSClassGr(_parse_rational(data["x"], "class.x"), _parse_rational(data["y"], "class.y"))
+    c = NSClassGr(_parse_rational(data["x"], "class.x"), _parse_rational(data["y"], "class.y"))
+    return {"ns_class": c}, {"x": str(c.x), "y": str(c.y)}
 
 
-def _parse_class_flag(data: Any) -> NSClassFlag:
+def _class_flag(text: str) -> tuple[dict, dict]:
+    data = _load_json(_read_arg(text), "class")
     if not isinstance(data, dict) or set(data) != {"x", "y"}:
         raise ParseError('a flag class is an object {"x": [...], "y": ...}')
     if not isinstance(data["x"], list):
         raise ParseError("class.x must be a list")
     xs = tuple(_parse_rational(v, f"class.x[{i}]") for i, v in enumerate(data["x"]))
-    return NSClassFlag(xs, _parse_rational(data["y"], "class.y"))
+    c = NSClassFlag(xs, _parse_rational(data["y"], "class.y"))
+    return {"ns_class": c}, {"x": [str(v) for v in c.x], "y": str(c.y)}
 
 
-def _parse_flag_dims(text: str) -> FlagType:
-    try:
-        dims = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"--flag expects comma-separated integers, got {text!r}") from exc
-    try:
-        return FlagType(dims)
-    except FlagnefError as exc:
-        raise ValidationError(f"{exc.code}: {exc}") from exc
+class _Option(NamedTuple):
+    """One option: its flag (whose name is also its key in the report's
+    "input"), its parser, and its argparse keywords."""
+
+    flag: str
+    parse: Callable[[Any], tuple[dict, Any]]
+    spec: dict
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on usage errors; here all input problems are exit 1
-    def error(self, message: str) -> None:
-        raise ParseError(message)
+_BUNDLE_HELP = "bundle spec: inline JSON or @file"
+_BUNDLE = _Option("--bundle", _bundle, {"required": True, "help": _BUNDLE_HELP})
+_R = _Option("--r", lambda r: ({}, r),  # argparse has made it an int
+             {"type": _int_arg, "required": True, "help": "quotient dimension"})
+_FLAG = _Option("--flag", _flag, {"required": True, "help": "quotient dimensions r1,r2,..."})
+_CLASS = {"dest": "ns_class", "required": True}
+_CLASS_GR = _Option("--class", _class_gr,
+                    {**_CLASS, "help": 'class {"x": ..., "y": ...}: inline JSON or @file'})
+_CLASS_FLAG = _Option("--class", _class_flag,
+                      {**_CLASS, "help": 'class {"x": [...], "y": ...}: inline JSON or @file'})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="flagnef",
-        description=(
-            "Exact positivity and nef-cone computations for Grassmann and flag "
-            "bundles over a curve, from Harder-Narasimhan data."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def bundle_opt(p: argparse.ArgumentParser, required: bool = True) -> None:
-        p.add_argument("--bundle", required=required, help="bundle spec: inline JSON or @file")
-
-    def json_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit the report as one JSON document")
-
-    p_theta = sub.add_parser("theta", help="threshold invariant with full breakdown")
-    bundle_opt(p_theta)
-    p_theta.add_argument("--r", type=int, required=True, help="quotient dimension")
-    json_opt(p_theta)
-
-    p_classify = sub.add_parser("classify", help="positivity of the tautological line bundle")
-    bundle_opt(p_classify)
-    p_classify.add_argument("--r", type=int, required=True, help="quotient dimension")
-    json_opt(p_classify)
-
-    p_cone = sub.add_parser("cone", help="nef cone extremal rays")
-    cone_sub = p_cone.add_subparsers(dest="target", required=True, metavar="target")
-    p_cone_gr = cone_sub.add_parser("gr", help="Grassmann bundle")
-    bundle_opt(p_cone_gr)
-    p_cone_gr.add_argument("--r", type=int, required=True, help="quotient dimension")
-    json_opt(p_cone_gr)
-    p_cone_flag = cone_sub.add_parser("flag", help="flag bundle")
-    bundle_opt(p_cone_flag)
-    p_cone_flag.add_argument("--flag", required=True, help="quotient dimensions r1,r2,...")
-    json_opt(p_cone_flag)
-
-    p_member = sub.add_parser("member", help="nef / ample membership of a class")
-    member_sub = p_member.add_subparsers(dest="target", required=True, metavar="target")
-    p_member_gr = member_sub.add_parser("gr", help="Grassmann bundle")
-    bundle_opt(p_member_gr)
-    p_member_gr.add_argument("--r", type=int, required=True, help="quotient dimension")
-    p_member_gr.add_argument(
-        "--class", dest="ns_class", required=True, help='class {"x": ..., "y": ...}: inline JSON or @file'
-    )
-    json_opt(p_member_gr)
-    p_member_flag = member_sub.add_parser("flag", help="flag bundle")
-    bundle_opt(p_member_flag)
-    p_member_flag.add_argument("--flag", required=True, help="quotient dimensions r1,r2,...")
-    p_member_flag.add_argument(
-        "--class", dest="ns_class", required=True, help='class {"x": [...], "y": ...}: inline JSON or @file'
-    )
-    json_opt(p_member_flag)
-
-    p_va = sub.add_parser("vabundles", help="exterior-power blocks with exact rank and degree")
-    bundle_opt(p_va)
-    p_va.add_argument("--r", type=int, required=True, help="quotient dimension")
-    json_opt(p_va)
-
-    p_oc = sub.add_parser(
-        "oracle-check", help="recompute the invariant by brute force and compare"
-    )
-    bundle_opt(p_oc, required=False)
-    p_oc.add_argument("--r", type=int, help="check a single quotient dimension (needs --bundle)")
-    json_opt(p_oc)
-
-    return parser
+# Text layouts: result dict -> text.
+def _ray_str(coords: Sequence[int]) -> str:
+    return "(" + ",".join(str(c) for c in coords) + ")"
 
 
-def _load_bundle(arg: str) -> tuple[HNType, FieldContext, dict]:
-    return _parse_bundle_data(_load_json(_read_arg(arg), "bundle spec"))
+def _text(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ", ".join(_ray_str(v) if isinstance(v, list) else str(v) for v in value)
+    return str(value)
 
 
-def _cmd_theta(args: argparse.Namespace) -> tuple[Report, int]:
-    h, ctx, echo = _load_bundle(args.bundle)
-    bd = theta(h, args.r, ctx)
-    result = {
-        "theta": format_rational(bd.theta),
-        "t": bd.t,
-        "s": bd.s,
-        "mu_t": format_rational(bd.mu_t),
-        "tail_rank": bd.tail_rank,
-        "tail_degree": bd.tail_degree,
-    }
-    return {"command": "theta", "input": {"bundle": echo, "r": args.r}, "result": result}, 0
+def _aligned(result: dict) -> str:
+    """The default layout: one aligned "key  value" line per result field."""
+    width = max(len(k) for k in result)
+    return "".join(f"{k:<{width}}  {_text(v)}\n" for k, v in result.items())
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[Report, int]:
-    h, ctx, echo = _load_bundle(args.bundle)
-    cls = classify_tautological(h, args.r, ctx)
-    value = theta(h, args.r, ctx).theta
-    result = {"class": cls.value, "theta": format_rational(value)}
-    return {"command": "classify", "input": {"bundle": echo, "r": args.r}, "result": result}, 0
+def _va_table(result: dict) -> str:
+    rows = [("composition", "rank", "degree", "slope_sum")]
+    rows += [(_ray_str(e["composition"]), str(e["rank"]), str(e["degree"]), e["slope_sum"])
+             for e in result["va"]]
+    widths = [max(len(row[col]) for row in rows) for col in range(4)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                   for row in rows)
 
 
-def _cmd_cone_gr(args: argparse.Namespace) -> tuple[Report, int]:
-    h, ctx, echo = _load_bundle(args.bundle)
-    cone = grassmann_nef_cone(h, args.r, ctx)
-    result = {
-        "rays": [[cone.fiber_ray.u, cone.fiber_ray.v], [cone.theta_ray.u, cone.theta_ray.v]],
-        "theta": format_rational(cone.theta_used),
-        "p_delta": cone.p_delta,
-    }
-    return {"command": "cone gr", "input": {"bundle": echo, "r": args.r}, "result": result}, 0
+class _Command(NamedTuple):
+    help: str
+    options: tuple[_Option, ...]  # in the order of the report's "input"
+    compute: Callable[[argparse.Namespace], dict]
+    layout: Callable[[dict], str]
 
 
-def _cmd_cone_flag(args: argparse.Namespace) -> tuple[Report, int]:
-    h, ctx, echo = _load_bundle(args.bundle)
-    fl = _parse_flag_dims(args.flag)
-    cone = flag_nef_cone(h, fl, ctx)
-    result = {
-        "rays": [list(ray) for ray in cone.rays],
-        "thetas": [format_rational(t) for t in cone.thetas_used],
-        "p_delta": cone.p_delta,
-    }
-    report = {
-        "command": "cone flag",
-        "input": {"bundle": echo, "flag": list(fl.quotient_dims)},
-        "result": result,
-    }
-    return report, 0
+# The command table, keyed by the report's "command".  Compute functions
+# receive the parsed options as attributes (a bundle as ``h`` and ``ctx``),
+# plus ``input``, the echo so far, and ``stderr``.
+_COMMANDS: dict[str, _Command] = {}
+_GROUP_HELP = {"cone": "nef cone extremal rays", "member": "nef / ample membership of a class"}
 
 
-def _cmd_member_gr(args: argparse.Namespace) -> tuple[Report, int]:
-    h, ctx, echo = _load_bundle(args.bundle)
-    c = _parse_class_gr(_load_json(_read_arg(args.ns_class), "class"))
-    cone = grassmann_nef_cone(h, args.r, ctx)
-    result = {"nef": is_nef_gr(c, cone), "ample": is_ample_gr(c, cone)}
-    report = {
-        "command": "member gr",
-        "input": {
-            "bundle": echo,
-            "r": args.r,
-            "class": {"x": format_rational(c.x), "y": format_rational(c.y)},
-        },
-        "result": result,
-    }
-    return report, 0
+def _command(name: str, help: str, *options: _Option, layout: Callable[[dict], str] = _aligned):
+    """Declare subcommand ``name``; the decorated function is its compute."""
+    def declare(compute: Callable[[argparse.Namespace], dict]) -> Callable:
+        _COMMANDS[name] = _Command(help, options, compute, layout)
+        return compute
+    return declare
 
 
-def _cmd_member_flag(args: argparse.Namespace) -> tuple[Report, int]:
-    h, ctx, echo = _load_bundle(args.bundle)
-    fl = _parse_flag_dims(args.flag)
-    c = _parse_class_flag(_load_json(_read_arg(args.ns_class), "class"))
-    cone = flag_nef_cone(h, fl, ctx)
-    result = {"nef": is_nef_flag(c, cone)}
-    report = {
-        "command": "member flag",
-        "input": {
-            "bundle": echo,
-            "flag": list(fl.quotient_dims),
-            "class": {"x": [format_rational(v) for v in c.x], "y": format_rational(c.y)},
-        },
-        "result": result,
-    }
-    return report, 0
+@_command("theta", "threshold invariant with full breakdown", _BUNDLE, _R)
+def _theta(a: argparse.Namespace) -> dict:
+    bd = theta(a.h, a.r, a.ctx)
+    return {"theta": str(bd.theta), "t": bd.t, "s": bd.s, "mu_t": str(bd.mu_t),
+            "tail_rank": bd.tail_rank, "tail_degree": bd.tail_degree}
 
 
-def _cmd_vabundles(args: argparse.Namespace) -> tuple[Report, int]:
-    h, ctx, echo = _load_bundle(args.bundle)
-    blocks = enumerate_va(h, args.r)
-    result = {
-        "count": len(blocks),
-        "min_slope_sum": format_rational(min(b.slope_sum for b in blocks)),
-        "va": [
-            {
-                "composition": list(b.composition),
-                "rank": b.rank,
-                "degree": b.degree,
-                "slope_sum": format_rational(b.slope_sum),
-            }
-            for b in blocks
-        ],
-    }
-    return {"command": "vabundles", "input": {"bundle": echo, "r": args.r}, "result": result}, 0
+@_command("classify", "positivity of the tautological line bundle", _BUNDLE, _R,
+          layout=lambda result: result["class"] + "\n")
+def _classify(a: argparse.Namespace) -> dict:
+    value = theta(a.h, a.r, a.ctx).theta
+    return {"class": PositivityClass.of(value).value, "theta": str(value)}
 
 
-def _cmd_oracle_check(args: argparse.Namespace, err: TextIO) -> tuple[Report, int]:
-    if args.r is not None and args.bundle is None:
+@_command("cone gr", "Grassmann bundle", _BUNDLE, _R)
+def _cone_gr(a: argparse.Namespace) -> dict:
+    cone = grassmann_nef_cone(a.h, a.r, a.ctx)
+    rays = [[cone.fiber_ray.u, cone.fiber_ray.v], [cone.theta_ray.u, cone.theta_ray.v]]
+    return {"rays": rays, "theta": str(cone.theta_used), "p_delta": cone.p_delta}
+
+
+@_command("cone flag", "flag bundle", _BUNDLE, _FLAG)
+def _cone_flag(a: argparse.Namespace) -> dict:
+    cone = flag_nef_cone(a.h, a.flag, a.ctx)
+    thetas = [str(t) for t in cone.thetas_used]
+    return {"rays": [list(ray) for ray in cone.rays], "thetas": thetas, "p_delta": cone.p_delta}
+
+
+@_command("member gr", "Grassmann bundle", _BUNDLE, _R, _CLASS_GR)
+def _member_gr(a: argparse.Namespace) -> dict:
+    cone = grassmann_nef_cone(a.h, a.r, a.ctx)
+    return {"nef": is_nef_gr(a.ns_class, cone), "ample": is_ample_gr(a.ns_class, cone)}
+
+
+@_command("member flag", "flag bundle", _BUNDLE, _FLAG, _CLASS_FLAG)
+def _member_flag(a: argparse.Namespace) -> dict:
+    return {"nef": is_nef_flag(a.ns_class, flag_nef_cone(a.h, a.flag, a.ctx))}
+
+
+@_command("vabundles", "exterior-power blocks with exact rank and degree", _BUNDLE, _R,
+          layout=_va_table)
+def _vabundles(a: argparse.Namespace) -> dict:
+    blocks = enumerate_va(a.h, a.r)
+    va = [{"composition": list(b.composition), "rank": b.rank, "degree": b.degree,
+           "slope_sum": str(b.slope_sum)} for b in blocks]
+    return {"count": len(blocks), "min_slope_sum": str(min(b.slope_sum for b in blocks)), "va": va}
+
+
+@_command("oracle-check", "recompute the invariant by brute force and compare",
+          _BUNDLE._replace(spec={"help": _BUNDLE_HELP}),
+          _R._replace(spec={
+              "type": _int_arg, "help": "check a single quotient dimension (needs --bundle)"}))
+def _oracle_check(a: argparse.Namespace) -> dict:
+    """Without --bundle, sweeps the built-in corpus.  A mismatch is printed
+    to stderr and reported as "ok": false, which exits 2."""
+    if a.r is not None and a.bundle is None:
         raise ParseError("--r requires --bundle")
-    if args.bundle is not None:
-        h, _, echo = _load_bundle(args.bundle)
-        types: Any = [h]
-        input_echo: dict = {"bundle": echo}
-        if args.r is not None:
-            input_echo["r"] = args.r
-    else:
-        types = iter_hn_types(_CORPUS_MAX_RANK, _CORPUS_MAX_ABS_DEGREE)
-        input_echo = {
-            "corpus": {"max_rank": _CORPUS_MAX_RANK, "max_abs_degree": _CORPUS_MAX_ABS_DEGREE}
-        }
-    n_types = 0
-    checks = 0
-    mismatches = 0
+    types = [a.h] if a.bundle is not None else iter_hn_types(**_CORPUS)
+    if a.bundle is None:
+        a.input["corpus"] = dict(_CORPUS)
+    n_types = checks = mismatches = 0
     for h in types:
         n_types += 1
-        quotient_dims = [args.r] if args.r is not None else range(1, h.rank)
-        for r in quotient_dims:
+        for r in [a.r] if a.r is not None else range(1, h.rank):
             checks += 1
             closed = theta(h, r).theta
             brute = theta_oracle(h, r)
             if closed != brute:
                 mismatches += 1
                 pieces = [[p.rank, p.degree] for p in h.pieces]
-                print(
-                    f"flagnef: oracle mismatch for pieces={pieces} r={r}: "
-                    f"closed form {closed} != brute force {brute}",
-                    file=err,
-                )
-    ok = mismatches == 0
-    result = {"types": n_types, "checks": checks, "mismatches": mismatches, "ok": ok}
-    report = {"command": "oracle-check", "input": input_echo, "result": result}
-    return report, 0 if ok else 2
+                print(f"flagnef: oracle mismatch for pieces={pieces} r={r}: "
+                      f"closed form {closed} != brute force {brute}", file=a.stderr)
+    return {"types": n_types, "checks": checks, "mismatches": mismatches, "ok": mismatches == 0}
 
 
-def _bool_str(b: bool) -> str:
-    return "true" if b else "false"
+class _HelpRequested(Exception):
+    """--help was given; the single argument is the help text."""
 
 
-def _ray_str(coords: Sequence[int]) -> str:
-    return "(" + ",".join(str(c) for c in coords) + ")"
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with code 2 on usage errors; here all input problems are
+    # exit 1.  Nor does --help print to sys.stdout and exit: run_command
+    # writes the text to its own stdout.
+    def error(self, message: str) -> None:
+        raise ParseError(message)
+
+    def print_help(self, file: TextIO | None = None) -> None:
+        raise _HelpRequested(self.format_help())
 
 
-def _aligned(pairs: Sequence[tuple[str, str]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "".join(f"{k:<{width}}  {v}\n" for k, v in pairs)
-
-
-def _render_text(report: Report) -> str:
-    cmd = report["command"]
-    res = report["result"]
-    if cmd == "theta":
-        return _aligned(
-            [
-                ("theta", res["theta"]),
-                ("t", str(res["t"])),
-                ("s", str(res["s"])),
-                ("mu_t", res["mu_t"]),
-                ("tail_rank", str(res["tail_rank"])),
-                ("tail_degree", str(res["tail_degree"])),
-            ]
-        )
-    if cmd == "classify":
-        return res["class"] + "\n"
-    if cmd == "cone gr":
-        rays = ", ".join(_ray_str(ray) for ray in res["rays"])
-        return _aligned([("rays", rays), ("theta", res["theta"]), ("p_delta", str(res["p_delta"]))])
-    if cmd == "cone flag":
-        rays = ", ".join(_ray_str(ray) for ray in res["rays"])
-        thetas = ", ".join(res["thetas"])
-        return _aligned([("rays", rays), ("thetas", thetas), ("p_delta", str(res["p_delta"]))])
-    if cmd == "member gr":
-        return _aligned([("nef", _bool_str(res["nef"])), ("ample", _bool_str(res["ample"]))])
-    if cmd == "member flag":
-        return _aligned([("nef", _bool_str(res["nef"]))])
-    if cmd == "vabundles":
-        rows = [("composition", "rank", "degree", "slope_sum")]
-        for entry in res["va"]:
-            rows.append(
-                (
-                    _ray_str(entry["composition"]),
-                    str(entry["rank"]),
-                    str(entry["degree"]),
-                    entry["slope_sum"],
-                )
-            )
-        widths = [max(len(row[col]) for row in rows) for col in range(4)]
-        return "".join(
-            ("  ".join(cell.ljust(w) for cell, w in zip(row, widths))).rstrip() + "\n"
-            for row in rows
-        )
-    if cmd == "oracle-check":
-        return _aligned(
-            [
-                ("types", str(res["types"])),
-                ("checks", str(res["checks"])),
-                ("mismatches", str(res["mismatches"])),
-                ("ok", _bool_str(res["ok"])),
-            ]
-        )
-    raise ValueError(f"unknown command in report: {cmd!r}")
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of the command table, built once per process.
+    Every caller gets the same parser, so none may change it."""
+    parser = _Parser(prog="flagnef", description=(
+        "Exact positivity and nef-cone computations for Grassmann and flag "
+        "bundles over a curve, from Harder-Narasimhan data."))
+    subs = {"": parser.add_subparsers(dest="command", required=True, metavar="command")}
+    for name, command in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subs:
+            p_group = subs[""].add_parser(group, help=_GROUP_HELP[group])
+            subs[group] = p_group.add_subparsers(dest="target", required=True, metavar="target")
+        p = subs[group].add_parser(leaf, help=command.help)
+        for opt in command.options:
+            p.add_argument(opt.flag, **opt.spec)
+        p.add_argument("--json", action="store_true", help="emit the report as one JSON document")
+        p.set_defaults(name=name)
+    return parser
 
 
 def render_report(report: Report, mode: str = "text") -> str:
@@ -468,41 +361,38 @@ def render_report(report: Report, mode: str = "text") -> str:
         return json.dumps(report, separators=(",", ":")) + "\n"
     if mode != "text":
         raise ValueError(f"unknown render mode {mode!r}")
-    return _render_text(report)
+    command = _COMMANDS.get(report["command"])
+    if command is None:
+        raise ValueError(f"unknown command in report: {report['command']!r}")
+    return command.layout(report["result"])
 
 
-_HANDLERS = {
-    "theta": _cmd_theta,
-    "classify": _cmd_classify,
-    ("cone", "gr"): _cmd_cone_gr,
-    ("cone", "flag"): _cmd_cone_flag,
-    ("member", "gr"): _cmd_member_gr,
-    ("member", "flag"): _cmd_member_flag,
-    "vabundles": _cmd_vabundles,
-}
-
-
-def run_command(
-    argv: Sequence[str],
-    stdout: TextIO | None = None,
-    stderr: TextIO | None = None,
-) -> tuple[Report | None, int]:
-    """Execute one CLI invocation; writes the rendered report to stdout and
-    diagnostics to stderr, and returns (report, exit code)."""
+def run_command(argv: Sequence[str], stdout: TextIO | None = None,
+                stderr: TextIO | None = None) -> tuple[Report | None, int]:
+    """Execute one CLI invocation; writes the rendered report, or the help
+    text, to stdout and diagnostics to stderr, and returns (report, exit
+    code).  The report is None after --help and after an error."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
         args = build_parser().parse_args(list(argv))
-        if args.command == "oracle-check":
-            report, code = _cmd_oracle_check(args, err)
-        else:
-            key = (args.command, args.target) if hasattr(args, "target") else args.command
-            report, code = _HANDLERS[key](args)
+        command = _COMMANDS[args.name]
+        args.input, args.stderr = {}, err
+        for opt in command.options:
+            raw = getattr(args, opt.spec.get("dest", opt.flag[2:]))
+            if raw is not None:
+                attrs, args.input[opt.flag[2:]] = opt.parse(raw)
+                vars(args).update(attrs)
+        result = command.compute(args)
+    except _HelpRequested as exc:
+        out.write(exc.args[0])
+        return None, 0
     except FlagnefError as exc:
         print(f"flagnef: error[{exc.code}]: {exc}", file=err)
         return None, 1
+    report = {"command": args.name, "input": args.input, "result": result}
     out.write(render_report(report, "json" if args.json else "text"))
-    return report, code
+    return report, 2 if result.get("ok") is False else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -93,14 +93,6 @@ class FieldContext:
             if self.delta < 0:
                 raise InvalidFieldContextError(f"delta must be >= 0, got {self.delta}")
 
-    @classmethod
-    def char_zero(cls) -> "FieldContext":
-        return cls(0, 0)
-
-    @classmethod
-    def char_p(cls, p: int, delta: int = 0) -> "FieldContext":
-        return cls(p, delta)
-
     @property
     def is_char_p(self) -> bool:
         return self.p != 0
@@ -206,37 +198,19 @@ def make_hn_type(pieces: Iterable[tuple[int, int]]) -> HNType:
     return HNType(tuple(HNPiece(rank, degree) for rank, degree in pairs))
 
 
-@dataclass(frozen=True)
-class SplittingType:
-    """Multiset of line-bundle degrees of a bundle on the projective line,
-    stored weakly decreasing."""
-
-    summand_degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        degrees = tuple(sorted(self.summand_degrees, reverse=True))
-        if not degrees:
-            raise EmptyTypeError("a splitting type needs at least one summand")
-        for a in degrees:
-            if not isinstance(a, int):
-                raise TypeError("summand degrees must be integers")
-        object.__setattr__(self, "summand_degrees", degrees)
-
-
-def hn_from_splitting_type(st: SplittingType | Iterable[int]) -> HNType:
-    """HN type of a direct sum of line bundles on the projective line.
+def hn_from_splitting_type(degrees: Iterable[int]) -> HNType:
+    """HN type of a direct sum of line bundles on the projective line, given
+    the degrees of the summands in any order.
 
     Groups of m equal degrees a merge into one semistable piece (m, m*a).
     """
-    if not isinstance(st, SplittingType):
-        st = SplittingType(tuple(st))
+    ordered = sorted(degrees, reverse=True)
+    if not ordered:
+        raise EmptyTypeError("a splitting type needs at least one summand")
+    if not all(isinstance(a, int) for a in ordered):
+        raise TypeError("summand degrees must be integers")
     pieces = []
-    for a, group in itertools.groupby(st.summand_degrees):
+    for a, group in itertools.groupby(ordered):
         m = len(list(group))
         pieces.append(HNPiece(rank=m, degree=a * m))
     return HNType(tuple(pieces))
-
-
-def global_invariants(h: HNType) -> tuple[int, int, Fraction]:
-    """(total rank, total degree, slope) of the bundle the type describes."""
-    return h.rank, h.degree, h.slope

@@ -24,6 +24,16 @@ class PositivityClass(enum.Enum):
     NEF_NOT_AMPLE = "nef_not_ample"
     NOT_NEF = "not_nef"
 
+    @classmethod
+    def of(cls, theta_value: Fraction) -> "PositivityClass":
+        """Class of the tautological line bundle whose threshold invariant
+        is ``theta_value``: the sign decides."""
+        if theta_value > 0:
+            return cls.AMPLE
+        if theta_value == 0:
+            return cls.NEF_NOT_AMPLE
+        return cls.NOT_NEF
+
 
 def classify_tautological(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> PositivityClass:
     """Positivity class of the tautological line bundle on the rank-r
@@ -33,12 +43,7 @@ def classify_tautological(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> P
     scale the invariant by positive factors, the verdict does not depend on
     the chosen stabilization exponent.
     """
-    value = theta(h, r, ctx).theta
-    if value > 0:
-        return PositivityClass.AMPLE
-    if value == 0:
-        return PositivityClass.NEF_NOT_AMPLE
-    return PositivityClass.NOT_NEF
+    return PositivityClass.of(theta(h, r, ctx).theta)
 
 
 def relative_anticanonical_class(h: HNType, r: int) -> NSClassGr:

@@ -8,6 +8,7 @@ import pytest
 
 from flagnef import CHAR_ZERO, FieldContext, make_hn_type
 from flagnef.cli import (
+    build_parser,
     main,
     parse_bundle_spec,
     render_report,
@@ -278,6 +279,88 @@ class TestExitCodes:
         assert main(["classify", "--bundle", '{"pieces":[[2,0]]}', "--r", "1"]) == 0
         assert capsys.readouterr().out == "nef_not_ample\n"
         assert main(["classify", "--bundle", "nope", "--r", "1"]) == 1
+
+
+class TestStrictIntegers:
+    BUNDLE = '{"pieces":[[1,2],[1,1],[1,0]]}'
+
+    @pytest.mark.parametrize("value", [" 2 ", "+2", "2"])
+    def test_r_accepts_signs_and_spaces(self, value):
+        report, code, _, _ = invoke(["theta", "--bundle", self.BUNDLE, "--r", value])
+        assert code == 0
+        assert report["input"]["r"] == 2
+
+    def test_flag_accepts_spaces(self):
+        report, code, _, _ = invoke(["cone", "flag", "--bundle", self.BUNDLE, "--flag", "1, +2"])
+        assert code == 0
+        assert report["input"]["flag"] == [1, 2]
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "1.0", "0x1", "\u00b2"])
+    def test_r_rejects_what_int_alone_would_take(self, value):
+        report, code, out, err = invoke(["theta", "--bundle", self.BUNDLE, "--r", value])
+        assert (report, code, out) == (None, 1, "")
+        assert err == f"flagnef: error[ParseError]: argument --r: invalid int value: {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["\u0661,2", "1_0", "1,2_0", "1;2"])
+    def test_flag_rejects_what_int_alone_would_take(self, value):
+        report, code, out, err = invoke(["cone", "flag", "--bundle", self.BUNDLE, "--flag", value])
+        assert (report, code, out) == (None, 1, "")
+        assert err == (
+            "flagnef: error[ParseError]: --flag expects comma-separated integers, "
+            f"got {value!r}\n"
+        )
+
+    def test_oracle_check_r_is_strict_too(self):
+        _, code, _, err = invoke(["oracle-check", "--bundle", self.BUNDLE, "--r", "1_0"])
+        assert code == 1
+        assert "error[ParseError]: argument --r: invalid int value: '1_0'" in err
+
+
+class TestCommandTable:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_classify_computes_theta_once(self, monkeypatch):
+        import flagnef.cli as cli
+
+        calls = []
+
+        def counting_theta(*args):
+            calls.append(args)
+            return cli_theta(*args)
+
+        cli_theta = cli.theta
+        monkeypatch.setattr(cli, "theta", counting_theta)
+        report, code, _, _ = invoke(["classify", "--bundle", '{"pieces":[[1,1],[2,-1]]}', "--r", "2"])
+        assert code == 0
+        assert report["result"] == {"class": "not_nef", "theta": "-1"}
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["cone", "flag", "--bundle", "{", "--flag", "x"], "bundle spec: invalid JSON"),
+            (["member", "flag", "--bundle", '{"pieces":[[1,1],[1,0]]}', "--flag", "x",
+              "--class", "{"], "--flag expects"),
+            (["member", "flag", "--bundle", '{"pieces":[[1,1],[1,0]]}', "--flag", "2,1",
+              "--class", "{"], "InvalidFlagType"),
+            (["member", "flag", "--bundle", '{"pieces":[[1,1],[1,0]]}', "--flag", "1",
+              "--class", "{"], "class: invalid JSON"),
+            (["member", "gr", "--bundle", "[]", "--r", "1", "--class", "{"], "bundle spec must be"),
+            (["member", "gr", "--bundle", '{"pieces":[[1,1],[1,0]]}', "--r", "1",
+              "--class", '{"x":"a","y":"b"}'], "class.x:"),
+            (["member", "flag", "--bundle", '{"pieces":[[1,1],[1,0]]}', "--flag", "1",
+              "--class", '{"x":["a"],"y":"b"}'], "class.x[0]:"),
+        ],
+    )
+    def test_first_error_follows_the_input_order(self, argv, message):
+        _, code, _, err = invoke(argv)
+        assert code == 1
+        assert message in err
+
+    def test_unknown_command_in_report(self):
+        with pytest.raises(ValueError, match="unknown command"):
+            render_report({"command": "frobnicate", "input": {}, "result": {}})
 
 
 def test_module_entry_point():

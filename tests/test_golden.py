@@ -107,10 +107,17 @@ def test_usage_error(name):
 
 
 @pytest.mark.parametrize("name", HELP)
-def test_help(name):
+def test_help(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command([*HELP[name], "--help"], stdout=out, stderr=err) == (None, 0)
+    assert (out.getvalue(), err.getvalue()) == (golden(name), "")
+    assert capsys.readouterr() == ("", "")  # nothing escapes to the process's streams
+
+
+def test_module_help():
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-m", "flagnef", *HELP[name], "--help"],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "flagnef", "--help"], capture_output=True, text=True, env=env
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden(name), "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden("help"), "")

@@ -14,8 +14,6 @@ from flagnef import (
     NonDecreasingSlopesError,
     NonPositiveCoverDegreeError,
     NonPositiveRankError,
-    SplittingType,
-    global_invariants,
     hn_from_splitting_type,
     make_hn_type,
 )
@@ -84,15 +82,17 @@ class TestSplittingType:
     def test_input_order_is_irrelevant(self):
         assert hn_from_splitting_type([0, 1, 3, 1]) == hn_from_splitting_type([3, 1, 1, 0])
 
-    def test_accepts_splitting_type_object(self):
-        st_obj = SplittingType((0, 3, 3))
-        assert st_obj.summand_degrees == (3, 3, 0)
-        h = hn_from_splitting_type(st_obj)
+    def test_accepts_any_iterable(self):
+        h = hn_from_splitting_type(a for a in (0, 3, 3))
         assert [(p.rank, p.degree) for p in h.pieces] == [(2, 6), (1, 0)]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyTypeError):
             hn_from_splitting_type([])
+
+    def test_non_integer_degrees_rejected(self):
+        with pytest.raises(TypeError):
+            hn_from_splitting_type([1, 0.5])
 
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=8))
     def test_rank_and_degree_match_the_summands(self, degrees):
@@ -113,7 +113,8 @@ class TestGlobalInvariants:
         ],
     )
     def test_examples(self, pieces, expected):
-        assert global_invariants(make_hn_type(pieces)) == expected
+        h = make_hn_type(pieces)
+        assert (h.rank, h.degree, h.slope) == expected
 
 
 class TestTransforms:
@@ -165,7 +166,8 @@ class TestTransforms:
 
     @given(hn_types())
     def test_dual_global_invariants(self, h):
-        assert global_invariants(h.dual()) == (h.rank, -h.degree, -h.slope)
+        d = h.dual()
+        assert (d.rank, d.degree, d.slope) == (h.rank, -h.degree, -h.slope)
 
     @given(hn_types(), st.integers(-5, 5), st.integers(-5, 5))
     def test_twist_is_additive(self, h, a, b):
@@ -209,8 +211,9 @@ class TestFieldContext:
             FieldContext(0, 1)
 
     def test_constructors(self):
-        assert FieldContext.char_zero() == CHAR_ZERO
-        assert FieldContext.char_p(3, 2) == FieldContext(3, 2)
+        assert FieldContext() == CHAR_ZERO
+        assert FieldContext(p=3, delta=2) == FieldContext(3, 2)
+        assert FieldContext(3) == FieldContext(3, 0)
 
 
 class TestImmutability:
