@@ -300,9 +300,11 @@ def _oracle_check(a: argparse.Namespace) -> dict:
     to stderr and reported as "ok": false, which exits 2."""
     if a.r is not None and a.bundle is None:
         raise ParseError("--r requires --bundle")
-    types = [a.h] if a.bundle is not None else iter_hn_types(**_CORPUS)
     if a.bundle is None:
+        types: Any = iter_hn_types(**_CORPUS)
         a.input["corpus"] = dict(_CORPUS)
+    else:
+        types = [a.h]
     n_types = checks = mismatches = 0
     for h in types:
         n_types += 1

@@ -322,15 +322,17 @@ class TestCommandTable:
 
     def test_classify_computes_theta_once(self, monkeypatch):
         import flagnef.cli as cli
+        import flagnef.positivity as positivity
+        from flagnef.theta import theta
 
         calls = []
 
         def counting_theta(*args):
             calls.append(args)
-            return cli_theta(*args)
+            return theta(*args)
 
-        cli_theta = cli.theta
-        monkeypatch.setattr(cli, "theta", counting_theta)
+        for module in (cli, positivity):  # every module that binds theta
+            monkeypatch.setattr(module, "theta", counting_theta)
         report, code, _, _ = invoke(["classify", "--bundle", '{"pieces":[[1,1],[2,-1]]}', "--r", "2"])
         assert code == 0
         assert report["result"] == {"class": "not_nef", "theta": "-1"}
