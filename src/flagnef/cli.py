@@ -30,7 +30,7 @@ from .theta import enumerate_va, theta, theta_oracle
 # A Report is a plain JSON-serializable dict with keys command/input/result.
 Report = dict
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 _CORPUS = {"max_rank": 6, "max_abs_degree": 4}
@@ -39,8 +39,11 @@ _CORPUS = {"max_rank": 6, "max_abs_degree": 4}
 def _parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
-        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ValueError:  # beyond the int/str conversion limit
+            pass
     raise ParseError(f"{where}: expected an integer or 'num/den' string, got {value!r}")
 
 

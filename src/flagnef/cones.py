@@ -15,6 +15,10 @@ rays, and membership is decided by closed-form exact inequalities: a class
 where theta is the threshold invariant of the (stabilized) type and p_delta
 the Frobenius normalization (1 in characteristic zero).  The flag cone uses
 one such x-inequality per factor and the combined y-law.
+
+Rays and verdicts are computed from the numerators and denominators of the
+invariants and classes, in integer arithmetic; ``Fraction`` values appear
+only as fields of the returned descriptions.
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ def primitive_ray(coords: Iterable[Fraction | int]) -> tuple[int, ...]:
     Clears denominators and divides by the gcd; the direction is preserved.
     """
     fracs = [as_fraction(c) for c in coords]
-    if all(f == 0 for f in fracs):
-        raise ValueError("the zero vector spans no ray")
     den = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * den) for f in fracs]
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
     g = math.gcd(*ints)
+    if g == 0:
+        raise ValueError("the zero vector spans no ray")
     return tuple(v // g for v in ints)
 
 
@@ -89,6 +93,28 @@ class ConeDescriptionGr:
     p_delta: int
 
 
+def _theta_ray(pd: int, value: Fraction) -> tuple[int, int]:
+    """Primitive (u, v) on the ray through (pd, -value): with value = a/b in
+    lowest terms, (pd*b, -a) divided by their gcd."""
+    a, b = value.numerator, value.denominator
+    g = math.gcd(pd * b, a)
+    return pd * b // g, -a // g
+
+
+def _law(pd: int, thetas: Iterable[Fraction], xs: Iterable[Fraction], y: Fraction) -> int:
+    """An integer with the sign of p_delta*y + sum_i theta_i*x_i: its
+    numerator over a positive common denominator."""
+    num, den = pd * y.numerator, y.denominator
+    for t, x in zip(thetas, xs):
+        d = t.denominator * x.denominator
+        num = num * d + t.numerator * x.numerator * den
+        den *= d
+    return num
+
+
+_FIBER_RAY = RayGr(0, 1)
+
+
 def grassmann_nef_cone(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> ConeDescriptionGr:
     """Extremal rays of the nef cone of the rank-r Grassmann bundle.
 
@@ -97,20 +123,19 @@ def grassmann_nef_cone(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> Cone
     """
     value = theta(h, r, ctx).theta
     pd = ctx.p_delta
-    u, v = primitive_ray((pd, -value))
     return ConeDescriptionGr(
-        fiber_ray=RayGr(0, 1), theta_ray=RayGr(u, v), theta_used=value, p_delta=pd
+        fiber_ray=_FIBER_RAY, theta_ray=RayGr(*_theta_ray(pd, value)), theta_used=value, p_delta=pd
     )
 
 
 def is_nef_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
     """Exact nef test; boundary classes count as nef."""
-    return c.x >= 0 and cone.p_delta * c.y + cone.theta_used * c.x >= 0
+    return c.x.numerator >= 0 and _law(cone.p_delta, (cone.theta_used,), (c.x,), c.y) >= 0
 
 
 def is_ample_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
     """Strict interior of the nef cone."""
-    return c.x > 0 and cone.p_delta * c.y + cone.theta_used * c.x > 0
+    return c.x.numerator > 0 and _law(cone.p_delta, (cone.theta_used,), (c.x,), c.y) > 0
 
 
 @dataclass(frozen=True)
@@ -179,10 +204,8 @@ def flag_nef_cone(h: HNType, fl: FlagType, ctx: FieldContext = CHAR_ZERO) -> Con
     thetas = tuple(theta(h, r_i, ctx).theta for r_i in fl.quotient_dims)
     rays = []
     for i, value in enumerate(thetas):
-        coords = [Fraction(0)] * (nu + 1)
-        coords[i] = Fraction(pd)
-        coords[nu] = -value
-        rays.append(primitive_ray(coords))
+        u, v = _theta_ray(pd, value)
+        rays.append((0,) * i + (u,) + (0,) * (nu - 1 - i) + (v,))
     rays.append((0,) * nu + (1,))
     return ConeDescriptionFlag(flag=fl, rays=tuple(rays), thetas_used=thetas, p_delta=pd)
 
@@ -193,9 +216,9 @@ def is_nef_flag(c: NSClassFlag, cone: ConeDescriptionFlag) -> bool:
         raise DimensionMismatchError(
             f"class has {len(c.x)} tautological coordinates, cone expects {cone.flag.nu}"
         )
-    if any(xi < 0 for xi in c.x):
+    if any(xi.numerator < 0 for xi in c.x):
         return False
-    return cone.p_delta * c.y + sum(t * xi for t, xi in zip(cone.thetas_used, c.x)) >= 0
+    return _law(cone.p_delta, cone.thetas_used, c.x, c.y) >= 0
 
 
 def pullback_to_flag(i: int, c: NSClassGr, fl: FlagType) -> NSClassFlag:

@@ -6,6 +6,11 @@ the numerical type of its Harder-Narasimhan filtration: the ordered list of
 decreasing slopes.  All arithmetic is exact, using arbitrary-precision
 integers and :class:`fractions.Fraction`; no floating point appears anywhere.
 
+Each type carries its quotient polygon, built on first use: the cumulative
+(rank, degree) vertices of the pieces from the bottom of the filtration
+upward (the Harder-Narasimhan, or Shatz, polygon read from below).  The
+threshold invariant and both nef cones read it in integer arithmetic.
+
 Values are immutable after construction and every operation is a pure
 function, so the module is safe for unrestricted concurrent use.
 """
@@ -15,7 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 from .errors import (
     CharZeroContextError,
@@ -34,16 +40,33 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly for
+# every n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality test for n < PRIME_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -86,6 +109,10 @@ class FieldContext:
             if self.delta != 0:
                 raise InvalidFieldContextError("delta must be 0 in characteristic zero")
         else:
+            if self.p >= PRIME_BOUND:
+                raise InvalidFieldContextError(
+                    f"characteristic must be below {PRIME_BOUND}, got {self.p}"
+                )
             if not _is_prime(self.p):
                 raise InvalidFieldContextError(
                     f"characteristic must be 0 or a prime, got {self.p}"
@@ -106,6 +133,14 @@ class FieldContext:
 CHAR_ZERO = FieldContext()
 
 
+class Polygon(NamedTuple):
+    """Quotient polygon of an HN type: vertex k is (ranks[k], degrees[k]),
+    the total rank and degree of the bottom k pieces, for k = 0..len(type)."""
+
+    ranks: tuple[int, ...]
+    degrees: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class HNType:
     """Ordered graded pieces with strictly decreasing slopes."""
@@ -120,15 +155,31 @@ class HNType:
         for piece in pieces:
             if not isinstance(piece, HNPiece):
                 raise TypeError("pieces must be HNPiece instances")
-        for i in range(len(pieces) - 1):
-            if pieces[i].slope <= pieces[i + 1].slope:
+        for i, (a, b) in enumerate(zip(pieces, pieces[1:]), start=1):
+            if a.degree * b.rank <= b.degree * a.rank:
                 raise NonDecreasingSlopesError(
-                    f"slopes must strictly decrease, but mu_{i + 1} = "
-                    f"{pieces[i].slope} <= mu_{i + 2} = {pieces[i + 1].slope}"
+                    f"slopes must strictly decrease, but mu_{i} = "
+                    f"{a.slope} <= mu_{i + 1} = {b.slope}"
                 )
+
+    @classmethod
+    def _trusted(cls, pieces: tuple[HNPiece, ...]) -> "HNType":
+        """A type from pieces already known to have strictly decreasing
+        slopes; skips validation."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "pieces", pieces)
+        return h
 
     def __len__(self) -> int:
         return len(self.pieces)
+
+    @cached_property
+    def polygon(self) -> Polygon:
+        ranks, degrees = [0], [0]
+        for p in reversed(self.pieces):
+            ranks.append(ranks[-1] + p.rank)
+            degrees.append(degrees[-1] + p.degree)
+        return Polygon(tuple(ranks), tuple(degrees))
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -144,25 +195,28 @@ class HNType:
 
     @property
     def rank(self) -> int:
-        return sum(p.rank for p in self.pieces)
+        return self.polygon.ranks[-1]
 
     @property
     def degree(self) -> int:
-        return sum(p.degree for p in self.pieces)
+        return self.polygon.degrees[-1]
 
     @property
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
 
+    # The transforms below keep the strict slope order, so their results are
+    # built without validation.
+
     def dual(self) -> "HNType":
         """Numerical dual: reverse the pieces and negate every degree."""
-        return HNType(tuple(HNPiece(p.rank, -p.degree) for p in reversed(self.pieces)))
+        return HNType._trusted(tuple(HNPiece(p.rank, -p.degree) for p in reversed(self.pieces)))
 
     def twist(self, m: int) -> "HNType":
         """Tensor with a degree-m line bundle: every slope shifts by m."""
         if not isinstance(m, int):
             raise TypeError("twist degree must be an integer")
-        return HNType(tuple(HNPiece(p.rank, p.degree + p.rank * m) for p in self.pieces))
+        return HNType._trusted(tuple(HNPiece(p.rank, p.degree + p.rank * m) for p in self.pieces))
 
     def cover_pullback(self, m: int) -> "HNType":
         """Pull back along a degree-m cover of the base curve: degrees scale by m."""
@@ -170,7 +224,7 @@ class HNType:
             raise TypeError("cover degree must be an integer")
         if m < 1:
             raise NonPositiveCoverDegreeError(f"cover degree must be >= 1, got {m}")
-        return HNType(tuple(HNPiece(p.rank, m * p.degree) for p in self.pieces))
+        return HNType._trusted(tuple(HNPiece(p.rank, m * p.degree) for p in self.pieces))
 
     def frobenius_pullback(self, ctx: FieldContext) -> "HNType":
         """Scale degrees by p**delta.
@@ -182,7 +236,7 @@ class HNType:
         if not ctx.is_char_p:
             raise CharZeroContextError("Frobenius pullback needs positive characteristic")
         factor = ctx.p_delta
-        return HNType(tuple(HNPiece(p.rank, factor * p.degree) for p in self.pieces))
+        return HNType._trusted(tuple(HNPiece(p.rank, factor * p.degree) for p in self.pieces))
 
 
 def make_hn_type(pieces: Iterable[tuple[int, int]]) -> HNType:

@@ -28,9 +28,9 @@ class PositivityClass(enum.Enum):
     def of(cls, theta_value: Fraction) -> "PositivityClass":
         """Class of the tautological line bundle whose threshold invariant
         is ``theta_value``: the sign decides."""
-        if theta_value > 0:
+        if theta_value.numerator > 0:
             return cls.AMPLE
-        if theta_value == 0:
+        if theta_value.numerator == 0:
             return cls.NEF_NOT_AMPLE
         return cls.NOT_NEF
 
@@ -55,8 +55,8 @@ def relative_anticanonical_class(h: HNType, r: int) -> NSClassGr:
     semistable piece it reduces to the classical O(n) twisted down by r
     copies of the determinant.
     """
-    _require_quotient_rank(h, r)
-    return NSClassGr(Fraction(h.rank), Fraction(-r * h.degree))
+    _require_quotient_rank(h.rank, r)
+    return NSClassGr(h.rank, -r * h.degree)
 
 
 def anticanonical_is_nef(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> bool:
@@ -66,8 +66,8 @@ def anticanonical_is_nef(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> bo
 
     The class is built from the degrees of ``h`` itself, so membership is
     tested in the cone normalized for that bundle: any Frobenius steps are
-    already folded into ``h`` and the normalization factor is 1.
+    already folded into ``h`` and the normalization factor is 1, the factor
+    of the characteristic-zero cone.  ``ctx`` is declarative, as for
+    :func:`~flagnef.theta.theta`.
     """
-    base_ctx = FieldContext(ctx.p, 0) if ctx.is_char_p else CHAR_ZERO
-    cone = grassmann_nef_cone(h, r, base_ctx)
-    return is_nef_gr(relative_anticanonical_class(h, r), cone)
+    return is_nef_gr(relative_anticanonical_class(h, r), grassmann_nef_cone(h, r))

@@ -11,6 +11,9 @@ of size s from the threshold piece t, which gives the closed form
 
     theta = s * mu_t + (degree of everything below piece t).
 
+On the quotient polygon (``HNType.polygon``) the tail below piece t is one
+vertex and piece t the edge above it, so :func:`theta` is one bisection on
+the polygon's rank column plus one partial block, in integer arithmetic.
 :func:`theta` evaluates the closed form with its full breakdown;
 :func:`theta_oracle` recomputes the minimum by exhaustive enumeration and is
 kept deliberately independent so the two can cross-check each other.
@@ -21,6 +24,7 @@ induced filtration on the r-th exterior power (whose minimal slope is theta).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -62,24 +66,21 @@ class VaBundle:
     slope_sum: Fraction
 
 
-def _require_quotient_rank(h: HNType, r: int) -> None:
+def _require_quotient_rank(n: int, r: int) -> None:
+    """Check 1 <= r <= n - 1 for a type of total rank n."""
     if not isinstance(r, int):
         raise TypeError("quotient dimension r must be an integer")
-    if r < 1 or r >= h.rank:
+    if r < 1 or r >= n:
         raise QuotientRankOutOfRangeError(
-            f"quotient dimension must satisfy 1 <= r <= {h.rank - 1}, got {r}"
+            f"quotient dimension must satisfy 1 <= r <= {n - 1}, got {r}"
         )
 
 
 def threshold_index(h: HNType, r: int) -> int:
     """Largest 1-based index t such that r_t + ... + r_d >= r."""
-    _require_quotient_rank(h, r)
-    tail = 0
-    for t in range(len(h.pieces), 0, -1):
-        tail += h.pieces[t - 1].rank
-        if tail >= r:
-            return t
-    raise AssertionError("unreachable: the full rank always covers r")
+    ranks = h.polygon.ranks
+    _require_quotient_rank(ranks[-1], r)
+    return len(ranks) - bisect_left(ranks, r)
 
 
 def theta(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> ThetaBreakdown:
@@ -90,20 +91,21 @@ def theta(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> ThetaBreakdown:
     not change the arithmetic, only how downstream cone computations are
     normalized.
     """
-    t = threshold_index(h, r)
-    below = h.pieces[t:]
-    tail_rank = sum(p.rank for p in below)
-    tail_degree = sum(p.degree for p in below)
+    ranks, degrees = h.polygon
+    _require_quotient_rank(ranks[-1], r)
+    # vertex k is the first whose rank reaches r; the edge into it is piece t
+    k = bisect_left(ranks, r)
+    tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
+    r_t, d_t = ranks[k] - tail_rank, degrees[k] - tail_degree
     s = r - tail_rank
-    mu_t = h.pieces[t - 1].slope
     return ThetaBreakdown(
         r=r,
-        t=t,
+        t=len(ranks) - k,
         tail_rank=tail_rank,
         tail_degree=tail_degree,
         s=s,
-        mu_t=mu_t,
-        theta=s * mu_t + tail_degree,
+        mu_t=Fraction(d_t, r_t),
+        theta=Fraction(s * d_t + tail_degree * r_t, r_t),
     )
 
 
@@ -134,8 +136,8 @@ def _slope_weights(h: HNType) -> tuple[tuple[int, ...], int]:
 def enumerate_va(h: HNType, r: int) -> list[VaBundle]:
     """All exterior-power blocks for quotient dimension r, one per
     composition, in lexicographic order of the composition."""
-    _require_quotient_rank(h, r)
     ranks = h.ranks
+    _require_quotient_rank(sum(ranks), r)
     weights, den = _slope_weights(h)
     out: list[VaBundle] = []
     for a in _bounded_compositions(ranks, r):
@@ -162,9 +164,9 @@ def theta_oracle(h: HNType, r: int) -> Fraction:
     shares no logic with the closed form in :func:`theta`; the two are meant
     to check each other.  Deterministic and exact.
     """
-    _require_quotient_rank(h, r)
-    weights, den = _slope_weights(h)
     caps = h.ranks
+    _require_quotient_rank(sum(caps), r)
+    weights, den = _slope_weights(h)
     last = len(caps) - 1
     # suffix_caps[i] = caps[i+1] + ... + caps[last]
     suffix_caps = [0] * (last + 1)

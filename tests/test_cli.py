@@ -316,6 +316,56 @@ class TestStrictIntegers:
         assert "error[ParseError]: argument --r: invalid int value: '1_0'" in err
 
 
+class TestStrictRationals:
+    BUNDLE = '{"pieces":[[1,2],[1,1],[1,0]]}'
+
+    @pytest.mark.parametrize(
+        "argv,where",
+        [
+            (["member", "gr", "--bundle", BUNDLE, "--r", "1", "--class", '{"x":"\u0661","y":"0"}'],
+             "class.x"),
+            (["member", "flag", "--bundle", BUNDLE, "--flag", "1", "--class",
+              '{"x":["\u0661"],"y":"0"}'], "class.x[0]"),
+        ],
+    )
+    def test_class_rejects_non_ascii_digits(self, argv, where):
+        report, code, out, err = invoke(argv)
+        assert (report, code, out) == (None, 1, "")
+        assert err == (
+            f"flagnef: error[ParseError]: {where}: expected an integer or 'num/den' string, "
+            "got '\u0661'\n"
+        )
+
+    @pytest.mark.parametrize("value", ["1\n", " 1", "1_0", "1/0", "\u00b2",
+                                       pytest.param("1" + "0" * 5000, id="5001-digits")])
+    def test_class_rejects_other_non_rationals(self, value):
+        _, code, _, err = invoke(["member", "gr", "--bundle", self.BUNDLE, "--r", "1", "--class",
+                                  json.dumps({"x": value, "y": "0"})])
+        assert code == 1
+        assert "error[ParseError]: class.x: expected an integer" in err
+
+    def test_class_accepts_signed_fractions(self):
+        report, code, _, _ = invoke(["member", "gr", "--bundle", self.BUNDLE, "--r", "1",
+                                     "--class", '{"x":"+3/2","y":"-1/4"}'])
+        assert code == 0
+        assert report["input"]["class"] == {"x": "3/2", "y": "-1/4"}
+
+
+class TestCharacteristicBound:
+    def test_characteristic_above_the_certified_bound_is_rejected(self):
+        from flagnef.hn import PRIME_BOUND
+
+        p = 2**89 - 1  # a prime, but above the bound
+        assert p > PRIME_BOUND
+        bundle = json.dumps({"pieces": [[1, 1], [1, 0]], "field": {"char": p}})
+        report, code, out, err = invoke(["theta", "--bundle", bundle, "--r", "1"])
+        assert (report, code, out) == (None, 1, "")
+        assert err == (
+            "flagnef: error[ValidationError]: InvalidFieldContext: characteristic must be "
+            f"below {PRIME_BOUND}, got {p}\n"
+        )
+
+
 class TestCommandTable:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

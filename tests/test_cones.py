@@ -148,6 +148,50 @@ class TestGrassmannMembership:
         assert is_nef_gr(NSClassGr(x, y), cone) == solve_membership(rays, (x, y))
 
 
+class TestIntegerKernels:
+    """Rays and verdicts computed in integers agree with the plain Fraction
+    formulas."""
+
+    @given(hn_types_with_r(), st.sampled_from([2, 3, 5]), st.integers(0, 3))
+    def test_rays_match_primitive_ray(self, h_r, p, delta):
+        h, r = h_r
+        ctx = FieldContext(p, delta)
+        value = theta(h, r).theta
+        cone = grassmann_nef_cone(h, r, ctx)
+        assert (cone.theta_ray.u, cone.theta_ray.v) == primitive_ray((p**delta, -value))
+        dims = sorted({1, r, h.rank - 1})
+        flag_cone = flag_nef_cone(h, FlagType(tuple(dims)), ctx)
+        for i, r_i in enumerate(dims):
+            coords = [0] * (len(dims) + 1)
+            coords[i], coords[-1] = p**delta, -theta(h, r_i).theta
+            assert flag_cone.rays[i] == primitive_ray(coords)
+
+    @given(hn_types_with_r(), st.integers(0, 2), rationals, rationals, st.booleans())
+    def test_grassmann_membership(self, h_r, delta, x, y, on_boundary):
+        h, r = h_r
+        cone = grassmann_nef_cone(h, r, FieldContext(3, delta))
+        pd = cone.p_delta
+        if on_boundary:  # p_delta * y + theta * x == 0 exactly
+            y = -cone.theta_used * x / pd
+        law = pd * y + cone.theta_used * x
+        assert is_nef_gr(NSClassGr(x, y), cone) == (x >= 0 and law >= 0)
+        assert is_ample_gr(NSClassGr(x, y), cone) == (x > 0 and law > 0)
+
+    @given(hn_types_with_r(), st.integers(0, 2), st.lists(rationals, min_size=3, max_size=3),
+           rationals, st.booleans())
+    def test_flag_membership(self, h_r, delta, xs, y, on_boundary):
+        h, r = h_r
+        dims = sorted({1, r, h.rank - 1})
+        cone = flag_nef_cone(h, FlagType(tuple(dims)), FieldContext(2, delta))
+        xs = xs[: len(dims)]
+        law = sum(t * xi for t, xi in zip(cone.thetas_used, xs))
+        if on_boundary:
+            y = -law / cone.p_delta
+        law += cone.p_delta * y
+        expected = all(xi >= 0 for xi in xs) and law >= 0
+        assert is_nef_flag(NSClassFlag(tuple(xs), y), cone) == expected
+
+
 class TestFlagType:
     def test_must_increase(self):
         with pytest.raises(InvalidFlagTypeError):

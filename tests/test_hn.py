@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from flagnef import (
     NonDecreasingSlopesError,
     NonPositiveCoverDegreeError,
     NonPositiveRankError,
+    HNType,
     hn_from_splitting_type,
     make_hn_type,
 )
+from flagnef.hn import PRIME_BOUND, _is_prime
 from helpers import merge_by_slope
 
 
@@ -117,6 +120,31 @@ class TestGlobalInvariants:
         assert (h.rank, h.degree, h.slope) == expected
 
 
+class TestPolygon:
+    def test_example(self):
+        h = make_hn_type([(1, 3), (2, 2), (1, 0)])
+        assert h.polygon.ranks == (0, 1, 3, 4)
+        assert h.polygon.degrees == (0, 0, 2, 5)
+
+    @given(hn_types())
+    def test_last_vertex_is_rank_and_degree(self, h):
+        assert (h.polygon.ranks[-1], h.polygon.degrees[-1]) == (
+            sum(p.rank for p in h.pieces),
+            sum(p.degree for p in h.pieces),
+        )
+        assert (h.rank, h.degree) == (h.polygon.ranks[-1], h.polygon.degrees[-1])
+
+    @given(hn_types())
+    def test_built_once(self, h):
+        assert h.polygon is h.polygon
+
+    @given(hn_types())
+    def test_edges_are_the_pieces_from_the_bottom_up(self, h):
+        ranks, degrees = h.polygon
+        edges = [(ranks[k + 1] - ranks[k], degrees[k + 1] - degrees[k]) for k in range(len(h))]
+        assert edges == [(p.rank, p.degree) for p in reversed(h.pieces)]
+
+
 class TestTransforms:
     def test_dual_examples(self):
         assert make_hn_type([(2, 0)]).dual() == make_hn_type([(2, 0)])
@@ -181,6 +209,16 @@ class TestTransforms:
     def test_cover_pullback_composes(self, h, a, b):
         assert h.cover_pullback(a).cover_pullback(b) == h.cover_pullback(a * b)
 
+    @given(hn_types(), st.integers(-5, 5), st.integers(1, 4), st.sampled_from([2, 3, 5]),
+           st.integers(0, 3))
+    def test_outputs_pass_full_validation(self, h, m, c, p, delta):
+        outputs = [h.dual(), h.twist(m), h.cover_pullback(c),
+                   h.frobenius_pullback(FieldContext(p, delta))]
+        for out in outputs:
+            assert out == HNType(out.pieces)
+            slopes = out.slopes
+            assert all(slopes[i] > slopes[i + 1] for i in range(len(slopes) - 1))
+
     @given(hn_types())
     def test_slopes_strictly_decrease(self, h):
         slopes = h.slopes
@@ -209,6 +247,38 @@ class TestFieldContext:
     def test_char_zero_with_steps_rejected(self):
         with pytest.raises(InvalidFieldContextError):
             FieldContext(0, 1)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(-3, 5000) if _is_prime(n)] == [
+            n for n in range(-3, 5000) if trial(n)
+        ]
+
+    def test_fifteen_digit_prime_is_accepted_fast(self):
+        start = time.perf_counter()
+        assert FieldContext(100000000000031, 1).p_delta == 100000000000031
+        assert time.perf_counter() - start < 0.1  # trial division took about 0.6 s
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            561,  # Carmichael number
+            1152271,  # Carmichael number 43 * 127 * 211, no factor among the bases
+            3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+            3825123056546413051,  # strong pseudoprime to bases 2 through 23
+        ],
+    )
+    def test_pseudoprimes_rejected(self, n):
+        assert not _is_prime(n)
+        with pytest.raises(InvalidFieldContextError, match="must be 0 or a prime"):
+            FieldContext(n, 0)
+
+    def test_characteristic_at_or_above_the_bound_rejected(self):
+        for p in (PRIME_BOUND, 2**89 - 1):  # the second is prime
+            with pytest.raises(InvalidFieldContextError, match="must be below"):
+                FieldContext(p, 0)
 
     def test_constructors(self):
         assert FieldContext() == CHAR_ZERO

@@ -125,6 +125,18 @@ class TestAnticanonicalNef:
         cone = grassmann_nef_cone(h, r)
         assert not is_ample_gr(relative_anticanonical_class(h, r), cone)
 
+    def test_builds_no_field_context(self, monkeypatch):
+        import flagnef.hn as hn
+
+        ctx = FieldContext(100000000000031, 1)
+        calls = []
+        monkeypatch.setattr(hn, "_is_prime", lambda n: calls.append(n) or True)
+        h = make_hn_type([(1, 1), (2, -1)])
+        for r in (1, 2):
+            assert not anticanonical_is_nef(h, r, ctx)
+        assert anticanonical_is_nef(make_hn_type([(3, 1)]), 1, ctx)
+        assert calls == []
+
     @given(hn_types_with_r(), st.sampled_from([2, 3, 5]), st.integers(0, 2))
     def test_char_p_context_gives_the_same_verdict(self, h_r, p, delta):
         h, r = h_r

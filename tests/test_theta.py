@@ -90,6 +90,19 @@ class TestTheta:
                 theta(h, r)
 
     @given(hn_types_with_r())
+    def test_breakdown_matches_the_pieces(self, h_r):
+        """The polygon's bisection agrees with the definitions, read off the
+        pieces top-down with Fraction slopes."""
+        h, r = h_r
+        bd = theta(h, r)
+        t = max(t for t in range(1, len(h) + 1) if sum(h.ranks[t - 1:]) >= r)
+        assert bd.t == threshold_index(h, r) == t
+        assert (bd.tail_rank, bd.tail_degree) == (sum(h.ranks[t:]), sum(h.degrees[t:]))
+        assert bd.s == r - bd.tail_rank
+        assert bd.mu_t == h.slopes[t - 1]
+        assert bd.theta == bd.s * h.slopes[t - 1] + bd.tail_degree
+
+    @given(hn_types_with_r())
     def test_partial_block_is_within_the_threshold_piece(self, h_r):
         h, r = h_r
         bd = theta(h, r)
