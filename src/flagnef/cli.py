@@ -65,6 +65,10 @@ def _load_json(text: str, what: str) -> Any:
     except json.JSONDecodeError as exc:
         where = f"line {exc.lineno} column {exc.colno}"
         raise ParseError(f"{what}: invalid JSON at {where}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer beyond the int/str conversion limit
+        raise ParseError(f"{what}: invalid JSON: integer has too many digits") from exc
 
 
 def _read_arg(value: str) -> str:
@@ -248,7 +252,7 @@ def _command(name: str, help: str, *options: _Option, layout: Callable[[dict], s
 
 @_command("theta", "threshold invariant with full breakdown", _BUNDLE, _R)
 def _theta(a: argparse.Namespace) -> dict:
-    bd = theta(a.h, a.r, a.ctx)
+    bd = theta(a.h, a.r)
     return {"theta": str(bd.theta), "t": bd.t, "s": bd.s, "mu_t": str(bd.mu_t),
             "tail_rank": bd.tail_rank, "tail_degree": bd.tail_degree}
 
@@ -256,7 +260,7 @@ def _theta(a: argparse.Namespace) -> dict:
 @_command("classify", "positivity of the tautological line bundle", _BUNDLE, _R,
           layout=lambda result: result["class"] + "\n")
 def _classify(a: argparse.Namespace) -> dict:
-    value = theta(a.h, a.r, a.ctx).theta
+    value = theta(a.h, a.r).theta
     return {"class": PositivityClass.of(value).value, "theta": str(value)}
 
 

@@ -121,7 +121,7 @@ def grassmann_nef_cone(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> Cone
     In characteristic p the caller passes the delta-stabilized type together
     with (p, delta); the tautological-side ray then sits at (p**delta, -theta).
     """
-    value = theta(h, r, ctx).theta
+    value = theta(h, r).theta
     pd = ctx.p_delta
     return ConeDescriptionGr(
         fiber_ray=_FIBER_RAY, theta_ray=RayGr(*_theta_ray(pd, value)), theta_used=value, p_delta=pd
@@ -201,7 +201,7 @@ def flag_nef_cone(h: HNType, fl: FlagType, ctx: FieldContext = CHAR_ZERO) -> Con
         )
     pd = ctx.p_delta
     nu = fl.nu
-    thetas = tuple(theta(h, r_i, ctx).theta for r_i in fl.quotient_dims)
+    thetas = tuple(theta(h, r_i).theta for r_i in fl.quotient_dims)
     rays = []
     for i, value in enumerate(thetas):
         u, v = _theta_ray(pd, value)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .cones import NSClassGr, grassmann_nef_cone, is_nef_gr
-from .hn import CHAR_ZERO, FieldContext, HNType
+from .cones import NSClassGr
+from .hn import HNType
 from .theta import _require_quotient_rank, theta
 
 
@@ -35,7 +35,7 @@ class PositivityClass(enum.Enum):
         return cls.NOT_NEF
 
 
-def classify_tautological(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> PositivityClass:
+def classify_tautological(h: HNType, r: int) -> PositivityClass:
     """Positivity class of the tautological line bundle on the rank-r
     Grassmann bundle.
 
@@ -43,7 +43,7 @@ def classify_tautological(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> P
     scale the invariant by positive factors, the verdict does not depend on
     the chosen stabilization exponent.
     """
-    return PositivityClass.of(theta(h, r, ctx).theta)
+    return PositivityClass.of(theta(h, r).theta)
 
 
 def relative_anticanonical_class(h: HNType, r: int) -> NSClassGr:
@@ -59,15 +59,15 @@ def relative_anticanonical_class(h: HNType, r: int) -> NSClassGr:
     return NSClassGr(h.rank, -r * h.degree)
 
 
-def anticanonical_is_nef(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> bool:
+def anticanonical_is_nef(h: HNType, r: int) -> bool:
     """Nef test for the relative anticanonical class; true exactly when the
     type has a single piece (the bundle is semistable, strongly so in
     characteristic p).
 
-    The class is built from the degrees of ``h`` itself, so membership is
-    tested in the cone normalized for that bundle: any Frobenius steps are
-    already folded into ``h`` and the normalization factor is 1, the factor
-    of the characteristic-zero cone.  ``ctx`` is declarative, as for
-    :func:`~flagnef.theta.theta`.
+    The class is (n, -r * deg), so by the cone law it is nef iff
+    theta(r) >= r * mu, with mu = deg / n.  But theta(r) / r is the mean
+    slope of the bottom r ranks, which equals mu for a single piece and lies
+    below it otherwise.
     """
-    return is_nef_gr(relative_anticanonical_class(h, r), grassmann_nef_cone(h, r))
+    _require_quotient_rank(h.rank, r)
+    return len(h.pieces) == 1

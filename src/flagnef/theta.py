@@ -19,6 +19,8 @@ the polygon's rank column plus one partial block, in integer arithmetic.
 kept deliberately independent so the two can cross-check each other.
 :func:`enumerate_va` lists the rank/degree bookkeeping of every block of the
 induced filtration on the r-th exterior power (whose minimal slope is theta).
+Both walk the same iterative enumeration of bounded compositions, so neither
+recurses on the number of pieces.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator
 
 from .errors import QuotientRankOutOfRangeError
-from .hn import CHAR_ZERO, FieldContext, HNType
+from .hn import HNType
 
 
 @dataclass(frozen=True)
@@ -78,19 +81,11 @@ def _require_quotient_rank(n: int, r: int) -> None:
 
 def threshold_index(h: HNType, r: int) -> int:
     """Largest 1-based index t such that r_t + ... + r_d >= r."""
-    ranks = h.polygon.ranks
-    _require_quotient_rank(ranks[-1], r)
-    return len(ranks) - bisect_left(ranks, r)
+    return theta(h, r).t
 
 
-def theta(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> ThetaBreakdown:
-    """Evaluate the invariant with its full breakdown.
-
-    ``ctx`` is declarative: it records whose HN type ``h`` is (in positive
-    characteristic the caller passes the Frobenius-stabilized type).  It does
-    not change the arithmetic, only how downstream cone computations are
-    normalized.
-    """
+def theta(h: HNType, r: int) -> ThetaBreakdown:
+    """Evaluate the invariant with its full breakdown."""
     ranks, degrees = h.polygon
     _require_quotient_rank(ranks[-1], r)
     # vertex k is the first whose rank reaches r; the edge into it is piece t
@@ -111,19 +106,28 @@ def theta(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> ThetaBreakdown:
 
 def _bounded_compositions(caps: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
     """All tuples a with 0 <= a_i <= caps[i] and sum(a) == total,
-    lexicographically increasing.  Infeasible branches are pruned, so every
-    yielded tuple is valid and nothing is materialized."""
-    if not caps:
-        if total == 0:
-            yield ()
+    lexicographically increasing.  An odometer: each step raises the
+    rightmost entry that can still take a unit from the entries after it and
+    refills those from the back, so every yielded tuple is valid, nothing is
+    materialized and nothing recurses."""
+    if not 0 <= total <= sum(caps):
         return
-    rest = caps[1:]
-    rest_cap = sum(rest)
-    lo = max(0, total - rest_cap)
-    hi = min(caps[0], total)
-    for first in range(lo, hi + 1):
-        for tail in _bounded_compositions(rest, total - first):
-            yield (first,) + tail
+    n = len(caps)
+    a = [0] * n
+    i, rest = -1, total  # ``rest`` units go after position i
+    while True:
+        for j in range(n - 1, i, -1):  # the smallest suffix fills from the back
+            a[j] = c = caps[j] if caps[j] < rest else rest
+            rest -= c
+        yield tuple(a)
+        for i in range(n - 1, -1, -1):
+            if rest and a[i] < caps[i]:
+                break
+            rest += a[i]
+        else:
+            return
+        a[i] += 1
+        rest -= 1
 
 
 def _slope_weights(h: HNType) -> tuple[tuple[int, ...], int]:
@@ -167,22 +171,5 @@ def theta_oracle(h: HNType, r: int) -> Fraction:
     caps = h.ranks
     _require_quotient_rank(sum(caps), r)
     weights, den = _slope_weights(h)
-    last = len(caps) - 1
-    # suffix_caps[i] = caps[i+1] + ... + caps[last]
-    suffix_caps = [0] * (last + 1)
-    for i in range(last - 1, -1, -1):
-        suffix_caps[i] = suffix_caps[i + 1] + caps[i + 1]
-
-    def scan(i: int, remaining: int) -> int:
-        if i == last:
-            return remaining * weights[i]
-        best = None
-        lo = max(0, remaining - suffix_caps[i])
-        hi = min(caps[i], remaining)
-        for a in range(lo, hi + 1):
-            value = a * weights[i] + scan(i + 1, remaining - a)
-            if best is None or value < best:
-                best = value
-        return best
-
-    return Fraction(scan(0, r), den)
+    best = min(sum(map(mul, a, weights)) for a in _bounded_compositions(caps, r))
+    return Fraction(best, den)

@@ -97,7 +97,7 @@ def test_criterion_4_transform_identities(corpus_pairs):
                 assert theta(h.cover_pullback(m), r).theta == m * base
             for p, delta in frob:
                 ctx = FieldContext(p, delta)
-                assert theta(h.frobenius_pullback(ctx), r, ctx).theta == p**delta * base
+                assert theta(h.frobenius_pullback(ctx), r).theta == p**delta * base
             assert theta(h.dual(), h.rank - r).theta == base - h.degree
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from flagnef.cli import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(argv):
@@ -280,6 +282,40 @@ class TestExitCodes:
         assert capsys.readouterr().out == "nef_not_ample\n"
         assert main(["classify", "--bundle", "nope", "--r", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "--bundle", "[" * 100000 + "]" * 100000, "--r", "1"],
+            ["theta", "--bundle", '{"pieces":[[1,1%s],[1,0]]}' % ("0" * 4999), "--r", "1"],
+            ["member", "gr", "--bundle", '{"pieces":[[2,0]]}', "--r", "1",
+             "--class", '{"x":1%s,"y":0}' % ("0" * 4999)],
+        ],
+        ids=["deep_nesting", "5000_digit_degree", "5000_digit_class"],
+    )
+    def test_json_the_decoder_cannot_hold(self, argv):
+        report, code, out, err = invoke(argv)
+        assert (report, code, out) == (None, 1, "")
+        assert err.startswith("flagnef: error[ParseError]")
+        assert "set_int_max_str_digits" not in err
+
+
+class TestManyPieces:
+    """Rank-1 pieces, 1200 of them: the block walk and the oracle must not
+    recurse once per piece."""
+
+    BUNDLE = json.dumps({"pieces": [[1, 1200 - i] for i in range(1200)]})
+
+    def test_vabundles(self):
+        report, code, _, _ = invoke(["vabundles", "--bundle", self.BUNDLE, "--r", "1"])
+        assert code == 0
+        assert report["result"]["count"] == len(report["result"]["va"]) == 1200
+        assert report["result"]["min_slope_sum"] == "1"
+
+    def test_oracle_check(self):
+        report, code, _, err = invoke(["oracle-check", "--bundle", self.BUNDLE, "--r", "1"])
+        assert (code, err) == (0, "")
+        assert report["result"] == {"types": 1, "checks": 1, "mismatches": 0, "ok": True}
+
 
 class TestStrictIntegers:
     BUNDLE = '{"pieces":[[1,2],[1,1],[1,0]]}'
@@ -416,10 +452,12 @@ class TestCommandTable:
 
 
 def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "flagnef", "theta", "--bundle", '{"pieces":[[2,0]]}', "--r", "1", "--json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["theta"] == "0"

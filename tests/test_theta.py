@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from flagnef import (
     theta_oracle,
     threshold_index,
 )
+from flagnef.theta import _bounded_compositions
 from helpers import brute_min_slope_sum, merge_by_slope
 
 
@@ -78,10 +80,6 @@ class TestTheta:
     def test_breakdown_identity(self):
         bd = theta(make_hn_type([(2, 5), (1, 1), (3, -2)]), 4)
         assert bd.theta == bd.s * bd.mu_t + bd.tail_degree
-
-    def test_context_does_not_change_arithmetic(self):
-        h = make_hn_type([(1, 2), (2, 1)])
-        assert theta(h, 2).theta == theta(h, 2, FieldContext(5, 3)).theta
 
     def test_out_of_range(self):
         h = make_hn_type([(1, 1), (2, -1)])
@@ -159,6 +157,16 @@ class TestEnumerateVa:
             enumerate_va(make_hn_type([(2, 0)]), 2)
 
 
+class TestBoundedCompositions:
+    @given(st.lists(st.integers(0, 3), max_size=5), st.integers(-2, 17))
+    def test_matches_the_filtered_product_in_order(self, caps, total):
+        """Every bounded composition once, lexicographically increasing;
+        a total below 0 or above sum(caps) gives none."""
+        caps = tuple(caps)
+        expected = [a for a in itertools.product(*(range(c + 1) for c in caps)) if sum(a) == total]
+        assert list(_bounded_compositions(caps, total)) == expected
+
+
 class TestOracle:
     def test_single_piece(self):
         assert theta_oracle(make_hn_type([(4, 3)]), 2) == Fraction(3, 2)
@@ -217,7 +225,7 @@ class TestTransformIdentities:
         h, r = h_r
         ctx = FieldContext(p, delta)
         pulled = h.frobenius_pullback(ctx)
-        assert theta(pulled, r, ctx).theta == p**delta * theta(h, r).theta
+        assert theta(pulled, r).theta == p**delta * theta(h, r).theta
 
     @given(hn_types_with_r())
     def test_duality(self, h_r):
