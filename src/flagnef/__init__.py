@@ -30,6 +30,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidFieldContextError,
     InvalidFlagTypeError,
+    LimitExceededError,
     NonDecreasingSlopesError,
     NonPositiveCoverDegreeError,
     NonPositiveRankError,
@@ -78,6 +79,7 @@ __all__ = [
     "IndexOutOfRangeError",
     "InvalidFieldContextError",
     "InvalidFlagTypeError",
+    "LimitExceededError",
     "NSClassFlag",
     "NSClassGr",
     "NonDecreasingSlopesError",

@@ -22,8 +22,8 @@ from typing import Any, Callable, NamedTuple, Sequence, TextIO
 from .cones import (FlagType, NSClassFlag, NSClassGr, flag_nef_cone, grassmann_nef_cone,
                     is_ample_gr, is_nef_flag, is_nef_gr)
 from .corpus import iter_hn_types
-from .errors import FlagnefError, ParseError, ValidationError
-from .hn import CHAR_ZERO, FieldContext, HNType, hn_from_splitting_type, make_hn_type
+from .errors import FlagnefError, LimitExceededError, ParseError, ValidationError
+from .hn import CHAR_ZERO, DIGIT_LIMIT, FieldContext, HNType, hn_from_splitting_type, make_hn_type
 from .positivity import PositivityClass
 from .theta import enumerate_va, theta, theta_oracle
 
@@ -392,15 +392,22 @@ def run_command(argv: Sequence[str], stdout: TextIO | None = None,
             if raw is not None:
                 attrs, args.input[opt.flag[2:]] = opt.parse(raw)
                 vars(args).update(attrs)
-        result = command.compute(args)
+        try:
+            result = command.compute(args)
+            report = {"command": args.name, "input": args.input, "result": result}
+            text = render_report(report, "json" if args.json else "text")
+        except ValueError as exc:
+            if "integer string conversion" not in str(exc):
+                raise
+            raise LimitExceededError(
+                f"a result has more than {DIGIT_LIMIT} digits, too many to print") from None
     except _HelpRequested as exc:
         out.write(exc.args[0])
         return None, 0
     except FlagnefError as exc:
         print(f"flagnef: error[{exc.code}]: {exc}", file=err)
         return None, 1
-    report = {"command": args.name, "input": args.input, "result": result}
-    out.write(render_report(report, "json" if args.json else "text"))
+    out.write(text)
     return report, 2 if result.get("ok") is False else 0
 
 

@@ -7,7 +7,6 @@ tuples lexicographically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 from .hn import HNPiece, HNType
@@ -26,19 +25,19 @@ def _rank_compositions(n: int) -> Iterator[tuple[int, ...]]:
 def _assign_degrees(ranks: tuple[int, ...], bound: int) -> Iterator[HNType]:
     d = len(ranks)
 
-    def rec(i: int, prev_slope: Fraction | None, acc: list[HNPiece]) -> Iterator[HNType]:
+    def rec(i: int, acc: list[HNPiece]) -> Iterator[HNType]:
         if i == d:
             yield HNType(tuple(acc))
             return
         for deg in range(-bound, bound + 1):
-            slope = Fraction(deg, ranks[i])
-            if prev_slope is not None and slope >= prev_slope:
+            # the slope order, cross-multiplied as HNType checks it
+            if acc and deg * acc[-1].rank >= acc[-1].degree * ranks[i]:
                 break  # degrees ascend, so all later slopes fail too
             acc.append(HNPiece(ranks[i], deg))
-            yield from rec(i + 1, slope, acc)
+            yield from rec(i + 1, acc)
             acc.pop()
 
-    yield from rec(0, None, [])
+    yield from rec(0, [])
 
 
 def iter_hn_types(max_rank: int = 6, max_abs_degree: int = 4) -> Iterator[HNType]:

@@ -55,6 +55,12 @@ class IndexOutOfRangeError(FlagnefError):
     code = "IndexOutOfRange"
 
 
+class LimitExceededError(FlagnefError):
+    """A value too large for the documented size limits."""
+
+    code = "LimitExceeded"
+
+
 class ParseError(FlagnefError):
     """Malformed CLI input (bad JSON, bad structure, bad usage)."""
 

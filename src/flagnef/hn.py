@@ -27,6 +27,7 @@ from .errors import (
     CharZeroContextError,
     EmptyTypeError,
     InvalidFieldContextError,
+    LimitExceededError,
     NonDecreasingSlopesError,
     NonPositiveCoverDegreeError,
     NonPositiveRankError,
@@ -44,6 +45,11 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
 # every n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
 PRIME_BOUND = 3317044064679887385961981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Python's default int/str conversion limit: integers of more digits cannot
+# be printed, so p**delta must stay below 10**DIGIT_LIMIT.
+DIGIT_LIMIT = 4300
+_P_DELTA_BOUND = 10**DIGIT_LIMIT
 
 
 def _is_prime(n: int) -> bool:
@@ -119,6 +125,13 @@ class FieldContext:
                 )
             if self.delta < 0:
                 raise InvalidFieldContextError(f"delta must be >= 0, got {self.delta}")
+            # p >= 2**(b - 1) for b = p.bit_length(), so a large (b - 1) * delta
+            # rejects p**delta before it is built; otherwise it has few bits.
+            if ((self.p.bit_length() - 1) * self.delta > _P_DELTA_BOUND.bit_length()
+                    or self.p**self.delta >= _P_DELTA_BOUND):
+                raise LimitExceededError(
+                    f"p**delta must be below 10**{DIGIT_LIMIT}, got {self.p}**{self.delta}"
+                )
 
     @property
     def is_char_p(self) -> bool:
@@ -162,14 +175,6 @@ class HNType:
                     f"{a.slope} <= mu_{i + 1} = {b.slope}"
                 )
 
-    @classmethod
-    def _trusted(cls, pieces: tuple[HNPiece, ...]) -> "HNType":
-        """A type from pieces already known to have strictly decreasing
-        slopes; skips validation."""
-        h = object.__new__(cls)
-        object.__setattr__(h, "pieces", pieces)
-        return h
-
     def __len__(self) -> int:
         return len(self.pieces)
 
@@ -205,18 +210,15 @@ class HNType:
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
 
-    # The transforms below keep the strict slope order, so their results are
-    # built without validation.
-
     def dual(self) -> "HNType":
         """Numerical dual: reverse the pieces and negate every degree."""
-        return HNType._trusted(tuple(HNPiece(p.rank, -p.degree) for p in reversed(self.pieces)))
+        return HNType(tuple(HNPiece(p.rank, -p.degree) for p in reversed(self.pieces)))
 
     def twist(self, m: int) -> "HNType":
         """Tensor with a degree-m line bundle: every slope shifts by m."""
         if not isinstance(m, int):
             raise TypeError("twist degree must be an integer")
-        return HNType._trusted(tuple(HNPiece(p.rank, p.degree + p.rank * m) for p in self.pieces))
+        return HNType(tuple(HNPiece(p.rank, p.degree + p.rank * m) for p in self.pieces))
 
     def cover_pullback(self, m: int) -> "HNType":
         """Pull back along a degree-m cover of the base curve: degrees scale by m."""
@@ -224,7 +226,7 @@ class HNType:
             raise TypeError("cover degree must be an integer")
         if m < 1:
             raise NonPositiveCoverDegreeError(f"cover degree must be >= 1, got {m}")
-        return HNType._trusted(tuple(HNPiece(p.rank, m * p.degree) for p in self.pieces))
+        return HNType(tuple(HNPiece(p.rank, m * p.degree) for p in self.pieces))
 
     def frobenius_pullback(self, ctx: FieldContext) -> "HNType":
         """Scale degrees by p**delta.
@@ -236,7 +238,7 @@ class HNType:
         if not ctx.is_char_p:
             raise CharZeroContextError("Frobenius pullback needs positive characteristic")
         factor = ctx.p_delta
-        return HNType._trusted(tuple(HNPiece(p.rank, factor * p.degree) for p in self.pieces))
+        return HNType(tuple(HNPiece(p.rank, factor * p.degree) for p in self.pieces))
 
 
 def make_hn_type(pieces: Iterable[tuple[int, int]]) -> HNType:
@@ -246,10 +248,7 @@ def make_hn_type(pieces: Iterable[tuple[int, int]]) -> HNType:
     is unique with strictly decreasing slopes, and silent merging would hide
     input mistakes.  Use :func:`hn_from_splitting_type` for the lenient path.
     """
-    pairs = list(pieces)
-    if not pairs:
-        raise EmptyTypeError("an HN type needs at least one piece")
-    return HNType(tuple(HNPiece(rank, degree) for rank, degree in pairs))
+    return HNType(tuple(HNPiece(rank, degree) for rank, degree in pieces))
 
 
 def hn_from_splitting_type(degrees: Iterable[int]) -> HNType:

@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flagnef import CHAR_ZERO, FieldContext, make_hn_type
+from flagnef import CHAR_ZERO, FieldContext, ValidationError, make_hn_type
 from flagnef.cli import (
     build_parser,
     main,
@@ -15,6 +18,7 @@ from flagnef.cli import (
     render_report,
     run_command,
 )
+from helpers import merge_by_slope
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -400,6 +404,128 @@ class TestCharacteristicBound:
             "flagnef: error[ValidationError]: InvalidFieldContext: characteristic must be "
             f"below {PRIME_BOUND}, got {p}\n"
         )
+
+
+R = 10**4200  # a rank and degree of 4201 digits: printable input, unprintable results
+TOO_MANY_DIGITS = json.dumps({"pieces": [[R + 1, R], [1, -1]]})
+
+
+def field_bundle(p, delta):
+    return json.dumps({"pieces": [[1, 1], [1, 0]], "field": {"char": p, "frobenius_steps": delta}})
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("command", [["theta"], ["classify"], ["cone", "gr"]])
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_result_beyond_the_digit_limit(self, command, mode):
+        argv = command + ["--bundle", TOO_MANY_DIGITS, "--r", str(R + 1)] + mode
+        report, code, out, err = invoke(argv)
+        assert (report, code, out) == (None, 1, "")
+        assert err == ("flagnef: error[LimitExceeded]: a result has more than 4300 digits, "
+                       "too many to print\n")
+
+    @pytest.mark.parametrize("p,delta", [(2, 14285), (3, 9013)])
+    @pytest.mark.parametrize("command", [["cone", "gr", "--r", "1"], ["cone", "flag", "--flag", "1"]])
+    def test_p_delta_beyond_the_digit_limit(self, command, p, delta):
+        report, code, out, err = invoke(command + ["--bundle", field_bundle(p, delta)])
+        assert (report, code, out) == (None, 1, "")
+        assert err == ("flagnef: error[ValidationError]: LimitExceeded: p**delta must be below "
+                       f"10**4300, got {p}**{delta}\n")
+
+    @pytest.mark.parametrize("p,delta", [(2, 14284), (3, 9012)])
+    def test_p_delta_below_the_digit_limit(self, p, delta):
+        report, code, _, err = invoke(["cone", "gr", "--bundle", field_bundle(p, delta), "--r", "1"])
+        assert (code, err) == (0, "")
+        assert report["result"]["p_delta"] == p**delta
+
+    @pytest.mark.parametrize("delta", [10**8, 10**100], ids=["1e8", "1e100"])
+    def test_huge_delta_is_rejected_without_the_power(self, delta):
+        bundle = field_bundle(2, delta)
+        # first the parse alone, so that a tree building p**delta fails here
+        with pytest.raises(ValidationError, match="LimitExceeded"):
+            parse_bundle_spec(bundle)
+        start = time.perf_counter()
+        _, code, out, err = invoke(["cone", "gr", "--bundle", bundle, "--r", "1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("flagnef: error[ValidationError]: LimitExceeded: ")
+        assert time.perf_counter() - start < 0.1
+
+
+# --- a fuzz of run_command -------------------------------------------------
+
+_COMMAND_WORDS = [["theta"], ["classify"], ["cone", "gr"], ["cone", "flag"], ["member", "gr"],
+                  ["member", "flag"], ["vabundles"], ["oracle-check"]]
+_ENUMERATING = ("vabundles", "oracle-check")  # work grows with the total rank
+_BIG = st.integers(-10**4250, 10**4250)
+_RATIONAL = st.one_of(st.integers(-9, 9), _BIG, st.builds("{}/{}".format, st.integers(-9, 9),
+                                                          st.integers(-1, 9)))
+
+
+@st.composite
+def _bundles(draw, small):
+    """(bundle text, total rank): pieces or a splitting, valid or not, an
+    optional field, and sometimes truncated JSON.  Small bundles have total
+    rank at most 12."""
+    rank = st.integers(1, 3) if small else st.integers(1, 4) | st.integers(1, 10**4200)
+    if draw(st.integers(0, 3)) == 0:
+        rank |= st.integers(-1, 0)
+    pairs = draw(st.lists(st.tuples(rank, st.integers(-4, 4) | _BIG), min_size=1, max_size=4))
+    if all(k > 0 for k, _ in pairs) and draw(st.integers(0, 3)) > 0:
+        pairs = merge_by_slope(pairs)
+    if draw(st.booleans()):
+        spec = {"pieces": [list(pair) for pair in pairs]}
+    else:
+        spec = {"splitting": [d for _, d in pairs] * (3 if small else 1)}
+    if draw(st.integers(0, 2)) == 0:
+        spec["field"] = {"char": draw(st.sampled_from([0, 2, 3, 4, 7])),
+                         "frobenius_steps": draw(st.integers(0, 3) | st.integers(-1, 10**9))}
+    text = json.dumps(spec)
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    total = sum(k for k, _ in pairs) if "pieces" in spec else len(spec["splitting"])
+    return text, total
+
+
+@st.composite
+def _argvs(draw):
+    words = draw(st.sampled_from(_COMMAND_WORDS))
+    bundle, total = draw(_bundles(words[0] in _ENUMERATING))
+    dims = st.integers(-1, max(total, 0) + 1) | st.integers(1, max(1, total - 1)) | _BIG
+    argv = words + ["--bundle", bundle]
+    if words[-1] == "flag":
+        flag = draw(st.lists(dims, min_size=1, max_size=4))
+        if draw(st.booleans()):
+            flag = sorted(set(flag))
+        argv += ["--flag", ",".join(map(str, flag))]
+    elif words[0] != "oracle-check" or draw(st.booleans()):
+        argv += ["--r", str(draw(dims))]
+    if words == ["member", "gr"]:
+        argv += ["--class", json.dumps({"x": draw(_RATIONAL), "y": draw(_RATIONAL)})]
+    elif words == ["member", "flag"]:
+        xs = draw(st.lists(_RATIONAL, max_size=len(flag) + 1))
+        argv += ["--class", json.dumps({"x": xs, "y": draw(_RATIONAL)})]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_argvs())
+    @example(["theta", "--bundle", TOO_MANY_DIGITS, "--r", str(R + 1)])
+    @example(["classify", "--bundle", TOO_MANY_DIGITS, "--r", str(R + 1), "--json"])
+    @example(["cone", "gr", "--bundle", TOO_MANY_DIGITS, "--r", str(R + 1)])
+    @example(["cone", "gr", "--bundle", field_bundle(2, 10**8), "--r", "1"])
+    @example(["cone", "flag", "--bundle", field_bundle(2, 10**8), "--flag", "1", "--json"])
+    def test_every_input_ends_in_an_answer_or_one_error_line(self, argv):
+        report, code, out, err = invoke(argv)
+        assert code in (0, 1)
+        if code == 1:
+            assert (report, out) == (None, "")
+            assert err.startswith("flagnef: error[")
+            assert err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == ""
+            if "--json" in argv:
+                assert json.loads(out) == report
 
 
 class TestCommandTable:

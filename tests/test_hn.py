@@ -12,6 +12,7 @@ from flagnef import (
     FieldContext,
     HNPiece,
     InvalidFieldContextError,
+    LimitExceededError,
     NonDecreasingSlopesError,
     NonPositiveCoverDegreeError,
     NonPositiveRankError,
@@ -279,6 +280,19 @@ class TestFieldContext:
         for p in (PRIME_BOUND, 2**89 - 1):  # the second is prime
             with pytest.raises(InvalidFieldContextError, match="must be below"):
                 FieldContext(p, 0)
+
+    @pytest.mark.parametrize("p,largest", [(2, 14284), (3, 9012)])
+    def test_p_delta_stays_below_the_digit_limit(self, p, largest):
+        assert FieldContext(p, largest).p_delta < 10**4300 <= p ** (largest + 1)
+        message = rf"below 10\*\*4300, got {p}\*\*{largest + 1}"
+        with pytest.raises(LimitExceededError, match=message):
+            FieldContext(p, largest + 1)
+
+    def test_huge_delta_is_rejected_without_the_power(self):
+        start = time.perf_counter()
+        with pytest.raises(LimitExceededError):
+            FieldContext(2, 10**100)
+        assert time.perf_counter() - start < 0.1
 
     def test_constructors(self):
         assert FieldContext() == CHAR_ZERO
