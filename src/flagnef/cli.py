@@ -201,8 +201,8 @@ _CLASS_FLAG = _Option("--class", _class_flag,
 
 
 # Text layouts: result dict -> text.
-def _ray_str(coords: Sequence[int]) -> str:
-    return "(" + ",".join(str(c) for c in coords) + ")"
+def _ray_str(coords: Sequence[int], name: Callable[[int], str] = str) -> str:
+    return "(" + ",".join(map(name, coords)) + ")"
 
 
 def _text(value: Any) -> str:
@@ -219,9 +219,18 @@ def _aligned(result: dict) -> str:
     return "".join(f"{k:<{width}}  {_text(v)}\n" for k, v in result.items())
 
 
+class _Names(dict):
+    """Integers to their text, each converted once: compositions repeat few values."""
+
+    def __missing__(self, key: int) -> str:
+        self[key] = text = str(key)
+        return text
+
+
 def _va_table(result: dict) -> str:
+    name = _Names().__getitem__
     rows = [("composition", "rank", "degree", "slope_sum")]
-    rows += [(_ray_str(e["composition"]), str(e["rank"]), str(e["degree"]), e["slope_sum"])
+    rows += [(_ray_str(e["composition"], name), str(e["rank"]), str(e["degree"]), e["slope_sum"])
              for e in result["va"]]
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
     return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"

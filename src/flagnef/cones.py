@@ -24,17 +24,16 @@ only as fields of the returned descriptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidFlagTypeError,
 )
-from .hn import CHAR_ZERO, FieldContext, HNType, as_fraction
-from .theta import theta
+from .hn import CHAR_ZERO, FieldContext, HNType, _checked_tuple, _shown, as_fraction
+from .theta import _theta_value
 
 
 def primitive_ray(coords: Iterable[Fraction | int]) -> tuple[int, ...]:
@@ -51,36 +50,31 @@ def primitive_ray(coords: Iterable[Fraction | int]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-@dataclass(frozen=True)
-class NSClassGr:
+class NSClassGr(_checked_tuple("NSClassGr", [("x", Fraction), ("y", Fraction)])):
     """x * O(1) + y * L in the rank-two lattice of a Grassmann bundle."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_fraction(self.x))
-        object.__setattr__(self, "y", as_fraction(self.y))
+    def __new__(cls, x: Fraction | int | str, y: Fraction | int | str) -> "NSClassGr":
+        return tuple.__new__(cls, (as_fraction(x), as_fraction(y)))
 
 
-@dataclass(frozen=True)
-class RayGr:
+class RayGr(_checked_tuple("RayGr", [("u", int), ("v", int)])):
     """Primitive integer ray (u, v) with u >= 0, in the {O(1), L} basis."""
 
-    u: int
-    v: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.u, int) or not isinstance(self.v, int):
+    def __new__(cls, u: int, v: int) -> "RayGr":
+        if not isinstance(u, int) or not isinstance(v, int):
             raise TypeError("ray coordinates must be integers")
-        if (self.u, self.v) == (0, 0):
+        if u == v == 0:
             raise ValueError("the zero vector spans no ray")
-        if self.u < 0 or math.gcd(self.u, self.v) != 1:
-            raise ValueError(f"({self.u}, {self.v}) is not a normalized primitive ray")
+        if u < 0 or math.gcd(u, v) != 1:
+            raise ValueError(f"({_shown(u)}, {_shown(v)}) is not a normalized primitive ray")
+        return tuple.__new__(cls, (u, v))
 
 
-@dataclass(frozen=True)
-class ConeDescriptionGr:
+class ConeDescriptionGr(NamedTuple):
     """Nef cone of a Grassmann bundle.
 
     ``fiber_ray`` is always (0, 1); ``theta_ray`` is the primitive vector on
@@ -93,12 +87,11 @@ class ConeDescriptionGr:
     p_delta: int
 
 
-def _theta_ray(pd: int, value: Fraction) -> tuple[int, int]:
-    """Primitive (u, v) on the ray through (pd, -value): with value = a/b in
-    lowest terms, (pd*b, -a) divided by their gcd."""
-    a, b = value.numerator, value.denominator
-    g = math.gcd(pd * b, a)
-    return pd * b // g, -a // g
+def _theta_ray(pd: int, num: int, den: int) -> tuple[int, int]:
+    """Primitive (u, v) on the ray through (pd, -num/den), den > 0:
+    (pd*den, -num) divided by their gcd."""
+    g = math.gcd(pd * den, num)
+    return pd * den // g, -num // g
 
 
 def _law(pd: int, thetas: Iterable[Fraction], xs: Iterable[Fraction], y: Fraction) -> int:
@@ -121,64 +114,65 @@ def grassmann_nef_cone(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> Cone
     In characteristic p the caller passes the delta-stabilized type together
     with (p, delta); the tautological-side ray then sits at (p**delta, -theta).
     """
-    value = theta(h, r).theta
+    num, den = _theta_value(h, r)
     pd = ctx.p_delta
-    return ConeDescriptionGr(
-        fiber_ray=_FIBER_RAY, theta_ray=RayGr(*_theta_ray(pd, value)), theta_used=value, p_delta=pd
-    )
+    return ConeDescriptionGr(_FIBER_RAY, RayGr(*_theta_ray(pd, num, den)), Fraction(num, den), pd)
+
+
+def _gr_law(c: NSClassGr, cone: ConeDescriptionGr) -> int:
+    """An integer with the sign of p_delta*y + theta*x: p_delta*y_n*t_d*x_d
+    + t_n*x_n*y_d, for y = y_n/y_d, theta = t_n/t_d and x = x_n/x_d."""
+    x, y, t = c.x, c.y, cone.theta_used
+    return (cone.p_delta * y.numerator * t.denominator * x.denominator
+            + t.numerator * x.numerator * y.denominator)
 
 
 def is_nef_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
     """Exact nef test; boundary classes count as nef."""
-    return c.x.numerator >= 0 and _law(cone.p_delta, (cone.theta_used,), (c.x,), c.y) >= 0
+    return c.x.numerator >= 0 and _gr_law(c, cone) >= 0
 
 
 def is_ample_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
     """Strict interior of the nef cone."""
-    return c.x.numerator > 0 and _law(cone.p_delta, (cone.theta_used,), (c.x,), c.y) > 0
+    return c.x.numerator > 0 and _gr_law(c, cone) > 0
 
 
-@dataclass(frozen=True)
-class FlagType:
+class FlagType(_checked_tuple("FlagType", [("quotient_dims", tuple)])):
     """Strictly increasing quotient dimensions r_1 < ... < r_nu of a flag bundle."""
 
-    quotient_dims: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        dims = tuple(self.quotient_dims)
-        object.__setattr__(self, "quotient_dims", dims)
+    def __new__(cls, quotient_dims: Iterable[int]) -> "FlagType":
+        dims = tuple(quotient_dims)
         if not dims:
             raise InvalidFlagTypeError("a flag type needs at least one quotient dimension")
         for d in dims:
             if not isinstance(d, int):
                 raise TypeError("quotient dimensions must be integers")
             if d < 1:
-                raise InvalidFlagTypeError(f"quotient dimensions must be >= 1, got {d}")
+                raise InvalidFlagTypeError(f"quotient dimensions must be >= 1, got {_shown(d)}")
         for a, b in zip(dims, dims[1:]):
             if a >= b:
                 raise InvalidFlagTypeError(
-                    f"quotient dimensions must strictly increase, got {a} then {b}"
+                    f"quotient dimensions must strictly increase, got {_shown(a)} then {_shown(b)}"
                 )
+        return tuple.__new__(cls, (dims,))
 
     @property
     def nu(self) -> int:
         return len(self.quotient_dims)
 
 
-@dataclass(frozen=True)
-class NSClassFlag:
+class NSClassFlag(_checked_tuple("NSClassFlag", [("x", tuple), ("y", Fraction)])):
     """sum_i x_i * O_i + y * L in the rank-(nu+1) lattice of a flag bundle."""
 
-    x: tuple[Fraction, ...]
-    y: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(as_fraction(v) for v in self.x))
-        object.__setattr__(self, "y", as_fraction(self.y))
+    def __new__(cls, x: Iterable[Fraction | int | str], y: Fraction | int | str) -> "NSClassFlag":
+        return tuple.__new__(cls, (tuple(as_fraction(v) for v in x), as_fraction(y)))
 
 
-@dataclass(frozen=True)
-class ConeDescriptionFlag:
+class ConeDescriptionFlag(NamedTuple):
     """Nef cone of a flag bundle: one ray per quotient dimension plus the
     fiber ray, listed with the fiber ray last."""
 
@@ -197,17 +191,19 @@ def flag_nef_cone(h: HNType, fl: FlagType, ctx: FieldContext = CHAR_ZERO) -> Con
     """
     if fl.quotient_dims[-1] >= h.rank:
         raise InvalidFlagTypeError(
-            f"largest quotient dimension {fl.quotient_dims[-1]} must be < rank {h.rank}"
+            f"largest quotient dimension {_shown(fl.quotient_dims[-1])} must be < rank "
+            f"{_shown(h.rank)}"
         )
     pd = ctx.p_delta
     nu = fl.nu
-    thetas = tuple(theta(h, r_i).theta for r_i in fl.quotient_dims)
+    values = [_theta_value(h, r_i) for r_i in fl.quotient_dims]
     rays = []
-    for i, value in enumerate(thetas):
-        u, v = _theta_ray(pd, value)
+    for i, (num, den) in enumerate(values):
+        u, v = _theta_ray(pd, num, den)
         rays.append((0,) * i + (u,) + (0,) * (nu - 1 - i) + (v,))
     rays.append((0,) * nu + (1,))
-    return ConeDescriptionFlag(flag=fl, rays=tuple(rays), thetas_used=thetas, p_delta=pd)
+    thetas = tuple(Fraction(num, den) for num, den in values)
+    return ConeDescriptionFlag(fl, tuple(rays), thetas, pd)
 
 
 def is_nef_flag(c: NSClassFlag, cone: ConeDescriptionFlag) -> bool:
@@ -227,7 +223,7 @@ def pullback_to_flag(i: int, c: NSClassGr, fl: FlagType) -> NSClassFlag:
     if not isinstance(i, int):
         raise TypeError("factor index must be an integer")
     if i < 1 or i > fl.nu:
-        raise IndexOutOfRangeError(f"factor index must lie in [1, {fl.nu}], got {i}")
+        raise IndexOutOfRangeError(f"factor index must lie in [1, {fl.nu}], got {_shown(i)}")
     xs = [Fraction(0)] * fl.nu
     xs[i - 1] = c.x
     return NSClassFlag(x=tuple(xs), y=c.y)

@@ -6,21 +6,21 @@ the numerical type of its Harder-Narasimhan filtration: the ordered list of
 decreasing slopes.  All arithmetic is exact, using arbitrary-precision
 integers and :class:`fractions.Fraction`; no floating point appears anywhere.
 
-Each type carries its quotient polygon, built on first use: the cumulative
+Each type carries its quotient polygon, built with it: the cumulative
 (rank, degree) vertices of the pieces from the bottom of the filtration
 upward (the Harder-Narasimhan, or Shatz, polygon read from below).  The
 threshold invariant and both nef cones read it in integer arithmetic.
 
 Values are immutable after construction and every operation is a pure
-function, so the module is safe for unrestricted concurrent use.
+function, so the module is safe for unrestricted concurrent use.  Pieces and
+field contexts are named tuples whose constructors check their fields, so
+they also compare equal to plain tuples of the same fields.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import accumulate, groupby
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -52,6 +52,29 @@ DIGIT_LIMIT = 4300
 _P_DELTA_BOUND = 10**DIGIT_LIMIT
 
 
+def _shown(value: int | Fraction) -> str:
+    """``str(value)`` for an error message, but an integer too long for
+    ``str`` appears by its size, as "<an integer of 5001 digits>"."""
+    if value.denominator != 1:
+        return f"{_shown(value.numerator)}/{_shown(value.denominator)}"
+    try:
+        return str(value)
+    except ValueError:  # beyond the int/str conversion limit
+        n = abs(value.numerator)
+        digits = n.bit_length() * 1233 >> 12  # at most the number of digits
+        while 10**digits <= n:
+            digits += 1
+        return f"<{'a negative' if value < 0 else 'an'} integer of {digits} digits>"
+
+
+def _checked_tuple(name: str, fields: list[tuple[str, type]]) -> type:
+    """Base of a named tuple whose subclass checks its fields in ``__new__``:
+    the inherited ``_make``, and so ``_replace``, goes through that check."""
+    base = NamedTuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
 def _is_prime(n: int) -> bool:
     """Exact primality test for n < PRIME_BOUND."""
     if n < 2:
@@ -76,71 +99,68 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HNPiece:
+class HNPiece(_checked_tuple("HNPiece", [("rank", int), ("degree", int)])):
     """One semistable graded piece: rank r_i >= 1 and integer degree d_i."""
 
-    rank: int
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or not isinstance(self.degree, int):
+    def __new__(cls, rank: int, degree: int) -> "HNPiece":
+        if not isinstance(rank, int) or not isinstance(degree, int):
             raise TypeError("rank and degree must be integers")
-        if self.rank < 1:
-            raise NonPositiveRankError(f"piece rank must be positive, got {self.rank}")
+        if rank < 1:
+            raise NonPositiveRankError(f"piece rank must be positive, got {_shown(rank)}")
+        return tuple.__new__(cls, (rank, degree))
 
     @property
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(_checked_tuple("FieldContext", [("p", int), ("delta", int), ("p_delta", int)])):
     """Characteristic data of the base field.
 
     ``p == 0`` means characteristic zero.  In characteristic p > 0 the pair
     (p, delta) declares that the accompanying HN type already describes the
     bundle after ``delta`` Frobenius pullbacks, so that every graded piece is
     strongly semistable.  The stabilization exponent delta cannot be computed
-    from numerical data; it is part of the input.
+    from numerical data; it is part of the input.  ``p_delta`` is the
+    degree-scaling factor p**delta (1 in characteristic zero), computed once.
     """
 
-    p: int = 0
-    delta: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not isinstance(self.delta, int):
+    def __new__(cls, p: int = 0, delta: int = 0) -> "FieldContext":
+        if not isinstance(p, int) or not isinstance(delta, int):
             raise TypeError("p and delta must be integers")
-        if self.p == 0:
-            if self.delta != 0:
+        if p == 0:
+            if delta != 0:
                 raise InvalidFieldContextError("delta must be 0 in characteristic zero")
-        else:
-            if self.p >= PRIME_BOUND:
-                raise InvalidFieldContextError(
-                    f"characteristic must be below {PRIME_BOUND}, got {self.p}"
-                )
-            if not _is_prime(self.p):
-                raise InvalidFieldContextError(
-                    f"characteristic must be 0 or a prime, got {self.p}"
-                )
-            if self.delta < 0:
-                raise InvalidFieldContextError(f"delta must be >= 0, got {self.delta}")
-            # p >= 2**(b - 1) for b = p.bit_length(), so a large (b - 1) * delta
-            # rejects p**delta before it is built; otherwise it has few bits.
-            if ((self.p.bit_length() - 1) * self.delta > _P_DELTA_BOUND.bit_length()
-                    or self.p**self.delta >= _P_DELTA_BOUND):
-                raise LimitExceededError(
-                    f"p**delta must be below 10**{DIGIT_LIMIT}, got {self.p}**{self.delta}"
-                )
+            return tuple.__new__(cls, (0, 0, 1))
+        if p >= PRIME_BOUND:
+            raise InvalidFieldContextError(
+                f"characteristic must be below {PRIME_BOUND}, got {_shown(p)}"
+            )
+        if not _is_prime(p):
+            raise InvalidFieldContextError(f"characteristic must be 0 or a prime, got {_shown(p)}")
+        if delta < 0:
+            raise InvalidFieldContextError(f"delta must be >= 0, got {_shown(delta)}")
+        # p >= 2**(b - 1) for b = p.bit_length(), so a large (b - 1) * delta
+        # rejects p**delta before it is built; otherwise it has few bits.
+        if (p.bit_length() - 1) * delta > _P_DELTA_BOUND.bit_length() or p**delta >= _P_DELTA_BOUND:
+            raise LimitExceededError(
+                f"p**delta must be below 10**{DIGIT_LIMIT}, got {p}**{_shown(delta)}"
+            )
+        return tuple.__new__(cls, (p, delta, p**delta))
+
+    def __repr__(self) -> str:
+        return f"FieldContext(p={self.p!r}, delta={self.delta!r})"
+
+    def __getnewargs__(self) -> tuple[int, int]:  # copies and pickles rebuild through __new__
+        return self.p, self.delta
 
     @property
     def is_char_p(self) -> bool:
         return self.p != 0
-
-    @property
-    def p_delta(self) -> int:
-        """Degree-scaling factor p**delta (1 in characteristic zero)."""
-        return self.p**self.delta if self.p else 1
 
 
 CHAR_ZERO = FieldContext()
@@ -154,37 +174,50 @@ class Polygon(NamedTuple):
     degrees: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class HNType:
-    """Ordered graded pieces with strictly decreasing slopes."""
+    """Ordered graded pieces with strictly decreasing slopes, and their
+    quotient polygon."""
 
+    __slots__ = ("pieces", "polygon")
     pieces: tuple[HNPiece, ...]
+    polygon: Polygon
 
-    def __post_init__(self) -> None:
-        pieces = tuple(self.pieces)
-        object.__setattr__(self, "pieces", pieces)
+    def __init__(self, pieces: Iterable[HNPiece]) -> None:
+        pieces = tuple(pieces)
         if not pieces:
             raise EmptyTypeError("an HN type needs at least one piece")
-        for piece in pieces:
-            if not isinstance(piece, HNPiece):
-                raise TypeError("pieces must be HNPiece instances")
+        if not all(isinstance(piece, HNPiece) for piece in pieces):
+            raise TypeError("pieces must be HNPiece instances")
         for i, (a, b) in enumerate(zip(pieces, pieces[1:]), start=1):
             if a.degree * b.rank <= b.degree * a.rank:
                 raise NonDecreasingSlopesError(
                     f"slopes must strictly decrease, but mu_{i} = "
-                    f"{a.slope} <= mu_{i + 1} = {b.slope}"
+                    f"{_shown(a.slope)} <= mu_{i + 1} = {_shown(b.slope)}"
                 )
+        object.__setattr__(self, "pieces", pieces)
+        ranks, degrees = zip(*reversed(pieces))  # the two columns of the pieces, bottom-up
+        object.__setattr__(self, "polygon", Polygon(tuple(accumulate(ranks, initial=0)),
+                                                    tuple(accumulate(degrees, initial=0))))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.pieces == other.pieces if isinstance(other, HNType) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.pieces)
+
+    def __repr__(self) -> str:
+        return f"HNType(pieces={self.pieces!r})"
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[HNPiece, ...]]]:  # copy and pickle
+        return HNType, (self.pieces,)
 
     def __len__(self) -> int:
         return len(self.pieces)
-
-    @cached_property
-    def polygon(self) -> Polygon:
-        ranks, degrees = [0], [0]
-        for p in reversed(self.pieces):
-            ranks.append(ranks[-1] + p.rank)
-            degrees.append(degrees[-1] + p.degree)
-        return Polygon(tuple(ranks), tuple(degrees))
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -225,7 +258,7 @@ class HNType:
         if not isinstance(m, int):
             raise TypeError("cover degree must be an integer")
         if m < 1:
-            raise NonPositiveCoverDegreeError(f"cover degree must be >= 1, got {m}")
+            raise NonPositiveCoverDegreeError(f"cover degree must be >= 1, got {_shown(m)}")
         return HNType(tuple(HNPiece(p.rank, m * p.degree) for p in self.pieces))
 
     def frobenius_pullback(self, ctx: FieldContext) -> "HNType":
@@ -263,7 +296,7 @@ def hn_from_splitting_type(degrees: Iterable[int]) -> HNType:
     if not all(isinstance(a, int) for a in ordered):
         raise TypeError("summand degrees must be integers")
     pieces = []
-    for a, group in itertools.groupby(ordered):
+    for a, group in groupby(ordered):
         m = len(list(group))
         pieces.append(HNPiece(rank=m, degree=a * m))
     return HNType(tuple(pieces))

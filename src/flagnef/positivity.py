@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cones import NSClassGr
 from .hn import HNType
-from .theta import _require_quotient_rank, theta
+from .theta import _require_quotient_rank, _theta_value
 
 
 class PositivityClass(enum.Enum):
@@ -25,9 +25,10 @@ class PositivityClass(enum.Enum):
     NOT_NEF = "not_nef"
 
     @classmethod
-    def of(cls, theta_value: Fraction) -> "PositivityClass":
+    def of(cls, theta_value: Fraction | int) -> "PositivityClass":
         """Class of the tautological line bundle whose threshold invariant
-        is ``theta_value``: the sign decides."""
+        is ``theta_value``, or has it as numerator over a positive
+        denominator: the sign decides."""
         if theta_value.numerator > 0:
             return cls.AMPLE
         if theta_value.numerator == 0:
@@ -43,7 +44,7 @@ def classify_tautological(h: HNType, r: int) -> PositivityClass:
     scale the invariant by positive factors, the verdict does not depend on
     the chosen stabilization exponent.
     """
-    return PositivityClass.of(theta(h, r).theta)
+    return PositivityClass.of(_theta_value(h, r)[0])
 
 
 def relative_anticanonical_class(h: HNType, r: int) -> NSClassGr:

@@ -12,9 +12,10 @@ of size s from the threshold piece t, which gives the closed form
     theta = s * mu_t + (degree of everything below piece t).
 
 On the quotient polygon (``HNType.polygon``) the tail below piece t is one
-vertex and piece t the edge above it, so :func:`theta` is one bisection on
-the polygon's rank column plus one partial block, in integer arithmetic.
-:func:`theta` evaluates the closed form with its full breakdown;
+vertex and piece t the edge above it, so the invariant is one bisection on
+the polygon's rank column plus one partial block, an integer numerator over
+a positive denominator (``_theta_value``, which the cones and the trichotomy
+read).  :func:`theta` adds the full breakdown and the ``Fraction``s;
 :func:`theta_oracle` recomputes the minimum by exhaustive enumeration and is
 kept deliberately independent so the two can cross-check each other.
 :func:`enumerate_va` lists the rank/degree bookkeeping of every block of the
@@ -27,17 +28,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import QuotientRankOutOfRangeError
-from .hn import HNType
+from .hn import HNType, _shown
 
 
-@dataclass(frozen=True)
-class ThetaBreakdown:
+class ThetaBreakdown(NamedTuple):
     """Full record of one invariant evaluation.
 
     ``t`` is the 1-based threshold index, ``tail_rank``/``tail_degree`` sum
@@ -54,8 +54,7 @@ class ThetaBreakdown:
     theta: Fraction
 
 
-@dataclass(frozen=True)
-class VaBundle:
+class VaBundle(NamedTuple):
     """Exact rank and degree of one tensor-of-exterior-powers block.
 
     ``composition`` records how many exterior factors come from each graded
@@ -75,8 +74,23 @@ def _require_quotient_rank(n: int, r: int) -> None:
         raise TypeError("quotient dimension r must be an integer")
     if r < 1 or r >= n:
         raise QuotientRankOutOfRangeError(
-            f"quotient dimension must satisfy 1 <= r <= {n - 1}, got {r}"
+            f"quotient dimension must satisfy 1 <= r <= {_shown(n - 1)}, got {_shown(r)}"
         )
+
+
+def _threshold_vertex(h: HNType, r: int) -> int:
+    """The first polygon vertex k whose rank reaches r; the edge into it is piece t."""
+    ranks = h.polygon.ranks
+    _require_quotient_rank(ranks[-1], r)
+    return bisect_left(ranks, r)
+
+
+def _theta_value(h: HNType, r: int) -> tuple[int, int]:
+    """theta as ``(s * d_t + tail_degree * r_t, r_t)``: unreduced, r_t > 0."""
+    k = _threshold_vertex(h, r)
+    ranks, degrees = h.polygon
+    r_t = ranks[k] - ranks[k - 1]
+    return (r - ranks[k - 1]) * (degrees[k] - degrees[k - 1]) + degrees[k - 1] * r_t, r_t
 
 
 def threshold_index(h: HNType, r: int) -> int:
@@ -86,21 +100,18 @@ def threshold_index(h: HNType, r: int) -> int:
 
 def theta(h: HNType, r: int) -> ThetaBreakdown:
     """Evaluate the invariant with its full breakdown."""
+    num, r_t = _theta_value(h, r)
+    k = _threshold_vertex(h, r)
     ranks, degrees = h.polygon
-    _require_quotient_rank(ranks[-1], r)
-    # vertex k is the first whose rank reaches r; the edge into it is piece t
-    k = bisect_left(ranks, r)
     tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
-    r_t, d_t = ranks[k] - tail_rank, degrees[k] - tail_degree
-    s = r - tail_rank
     return ThetaBreakdown(
         r=r,
         t=len(ranks) - k,
         tail_rank=tail_rank,
         tail_degree=tail_degree,
-        s=s,
-        mu_t=Fraction(d_t, r_t),
-        theta=Fraction(s * d_t + tail_degree * r_t, r_t),
+        s=r - tail_rank,
+        mu_t=Fraction(degrees[k] - tail_degree, r_t),
+        theta=Fraction(num, r_t),
     )
 
 
@@ -109,21 +120,25 @@ def _bounded_compositions(caps: tuple[int, ...], total: int) -> Iterator[tuple[i
     lexicographically increasing.  An odometer: each step raises the
     rightmost entry that can still take a unit from the entries after it and
     refills those from the back, so every yielded tuple is valid, nothing is
-    materialized and nothing recurses."""
+    materialized and nothing recurses.  A step walks only the entries it changes."""
     if not 0 <= total <= sum(caps):
         return
     n = len(caps)
     a = [0] * n
     i, rest = -1, total  # ``rest`` units go after position i
     while True:
-        for j in range(n - 1, i, -1):  # the smallest suffix fills from the back
+        j = n
+        while rest:  # the smallest suffix fills from the back
+            j -= 1
             a[j] = c = caps[j] if caps[j] < rest else rest
             rest -= c
         yield tuple(a)
-        for i in range(n - 1, -1, -1):
+        # scan back from the last nonzero entry, clearing what the refill will redo
+        for i in range(n - 1 if j < n else i, -1, -1):
             if rest and a[i] < caps[i]:
                 break
             rest += a[i]
+            a[i] = 0
         else:
             return
         a[i] += 1
@@ -143,21 +158,16 @@ def enumerate_va(h: HNType, r: int) -> list[VaBundle]:
     ranks = h.ranks
     _require_quotient_rank(sum(ranks), r)
     weights, den = _slope_weights(h)
+    indices = range(len(ranks))
     out: list[VaBundle] = []
     for a in _bounded_compositions(ranks, r):
-        rank = math.prod(math.comb(cap, ai) for cap, ai in zip(ranks, a))
-        num = sum(ai * w for ai, w in zip(a, weights))
+        used = list(compress(indices, a))  # zero entries add nothing to either sum
+        rank = math.prod([math.comb(ranks[i], a[i]) for i in used])
+        num = sum([a[i] * weights[i] for i in used])
         total = rank * num
         if total % den:
             raise AssertionError("exterior-power degree must be an integer")
-        out.append(
-            VaBundle(
-                composition=a,
-                rank=rank,
-                degree=total // den,
-                slope_sum=Fraction(num, den),
-            )
-        )
+        out.append(VaBundle(a, rank, total // den, Fraction(num, den)))
     return out
 
 

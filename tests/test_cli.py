@@ -315,6 +315,16 @@ class TestManyPieces:
         assert report["result"]["count"] == len(report["result"]["va"]) == 1200
         assert report["result"]["min_slope_sum"] == "1"
 
+    def test_vabundles_text(self):
+        _, code, out, _ = invoke(["vabundles", "--bundle", self.BUNDLE, "--r", "1"])
+        lines = out.splitlines()
+        assert (code, len(lines)) == (0, 1201)
+        assert lines[0] == "composition".ljust(2401) + "  rank  degree  slope_sum"
+        for row in (1, 2, 600, 1200):  # the unit moves up from the bottom piece, of degree 1
+            composition = ["0"] * 1200
+            composition[-row] = "1"
+            assert lines[row] == f"({','.join(composition)})  1     {row:<6}  {row}"
+
     def test_oracle_check(self):
         report, code, _, err = invoke(["oracle-check", "--bundle", self.BUNDLE, "--r", "1"])
         assert (code, err) == (0, "")
@@ -533,8 +543,6 @@ class TestCommandTable:
         assert build_parser() is build_parser()
 
     def test_classify_computes_theta_once(self, monkeypatch):
-        import flagnef.cli as cli
-        import flagnef.positivity as positivity
         from flagnef.theta import theta
 
         calls = []
@@ -543,7 +551,10 @@ class TestCommandTable:
             calls.append(args)
             return theta(*args)
 
-        for module in (cli, positivity):  # every module that binds theta
+        binding = [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "flagnef" and vars(m).get("theta") is theta]
+        assert "flagnef.cli" in {m.__name__ for m in binding}
+        for module in binding:  # every module that binds theta
             monkeypatch.setattr(module, "theta", counting_theta)
         report, code, _, _ = invoke(["classify", "--bundle", '{"pieces":[[1,1],[2,-1]]}', "--r", "2"])
         assert code == 0
@@ -587,3 +598,12 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["theta"] == "0"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The CLI's import stays lean: ``dataclasses`` alone pulls in
+    ``inspect``.  ``-S`` keeps site hooks out of the count."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, flagnef.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from flagnef import (
     FieldContext,
+    PositivityClass,
     QuotientRankOutOfRangeError,
+    classify_tautological,
     enumerate_va,
+    grassmann_nef_cone,
     make_hn_type,
     theta,
     theta_oracle,
     threshold_index,
 )
-from flagnef.theta import _bounded_compositions
+from flagnef.theta import _bounded_compositions, _theta_value
 from helpers import brute_min_slope_sum, merge_by_slope
 
 
@@ -107,6 +110,23 @@ class TestTheta:
         assert 1 <= bd.s <= h.pieces[bd.t - 1].rank
 
 
+class TestIntegerRead:
+    """The integer read of theta, which the cones and the trichotomy use,
+    against the public breakdown at every quotient dimension."""
+
+    @given(hn_types_with_r(), st.sampled_from([(0, 0), (2, 3), (5, 1)]))
+    def test_agrees_with_the_breakdown(self, h_r, field):
+        h, _ = h_r
+        ctx = FieldContext(*field)
+        for r in range(1, h.rank):
+            value = theta(h, r).theta
+            num, den = _theta_value(h, r)
+            assert den > 0
+            assert Fraction(num, den) == value
+            assert classify_tautological(h, r) is PositivityClass.of(value)
+            assert grassmann_nef_cone(h, r, ctx).theta_used == value
+
+
 class TestEnumerateVa:
     def test_single_piece(self):
         blocks = enumerate_va(make_hn_type([(2, 0)]), 1)
@@ -165,6 +185,22 @@ class TestBoundedCompositions:
         caps = tuple(caps)
         expected = [a for a in itertools.product(*(range(c + 1) for c in caps)) if sum(a) == total]
         assert list(_bounded_compositions(caps, total)) == expected
+
+    def test_a_step_reads_only_the_entries_it_changes(self):
+        """On many rank-1 caps at total 1 each step moves one unit, so the
+        caps are read a bounded number of times per step, not once per
+        entry after the raised one."""
+
+        class CountingCaps(tuple):
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingCaps.reads += 1
+                return tuple.__getitem__(self, i)
+
+        n = 1000
+        assert sum(1 for _ in _bounded_compositions(CountingCaps((1,) * n), 1)) == n
+        assert CountingCaps.reads <= 3 * n
 
 
 class TestOracle:
