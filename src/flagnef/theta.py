@@ -16,12 +16,12 @@ vertex and piece t the edge above it, so the invariant is one bisection on
 the polygon's rank column plus one partial block, an integer numerator over
 a positive denominator (``_theta_value``, which the cones and the trichotomy
 read).  :func:`theta` adds the full breakdown and the ``Fraction``s;
-:func:`theta_oracle` recomputes the minimum by exhaustive enumeration and is
-kept deliberately independent so the two can cross-check each other.
-:func:`enumerate_va` lists the rank/degree bookkeeping of every block of the
-induced filtration on the r-th exterior power (whose minimal slope is theta).
-Both walk the same iterative enumeration of bounded compositions, so neither
-recurses on the number of pieces.
+:func:`theta_oracle` recomputes the minimum over every composition by an
+exhaustive dynamic program on the ranks and slopes alone, kept deliberately
+independent so the two can cross-check each other.  :func:`enumerate_va`
+lists the rank/degree bookkeeping of every block of the induced filtration
+on the r-th exterior power (whose minimal slope is theta), from an iterative
+enumeration of bounded compositions.  Nothing recurses on the number of pieces.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
-from operator import mul
 from typing import Iterator, NamedTuple
 
 from .errors import QuotientRankOutOfRangeError
@@ -78,19 +77,19 @@ def _require_quotient_rank(n: int, r: int) -> None:
         )
 
 
-def _threshold_vertex(h: HNType, r: int) -> int:
-    """The first polygon vertex k whose rank reaches r; the edge into it is piece t."""
-    ranks = h.polygon.ranks
+def _theta_parts(h: HNType, r: int) -> tuple[int, int, int]:
+    """The first polygon vertex k whose rank reaches r (the edge into it is
+    piece t), and theta as ``s * d_t + tail_degree * r_t`` over ``r_t > 0``."""
+    ranks, degrees = h.polygon
     _require_quotient_rank(ranks[-1], r)
-    return bisect_left(ranks, r)
+    k = bisect_left(ranks, r)
+    r_t = ranks[k] - ranks[k - 1]
+    return k, (r - ranks[k - 1]) * (degrees[k] - degrees[k - 1]) + degrees[k - 1] * r_t, r_t
 
 
 def _theta_value(h: HNType, r: int) -> tuple[int, int]:
     """theta as ``(s * d_t + tail_degree * r_t, r_t)``: unreduced, r_t > 0."""
-    k = _threshold_vertex(h, r)
-    ranks, degrees = h.polygon
-    r_t = ranks[k] - ranks[k - 1]
-    return (r - ranks[k - 1]) * (degrees[k] - degrees[k - 1]) + degrees[k - 1] * r_t, r_t
+    return _theta_parts(h, r)[1:]
 
 
 def threshold_index(h: HNType, r: int) -> int:
@@ -100,8 +99,7 @@ def threshold_index(h: HNType, r: int) -> int:
 
 def theta(h: HNType, r: int) -> ThetaBreakdown:
     """Evaluate the invariant with its full breakdown."""
-    num, r_t = _theta_value(h, r)
-    k = _threshold_vertex(h, r)
+    k, num, r_t = _theta_parts(h, r)
     ranks, degrees = h.polygon
     tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
     return ThetaBreakdown(
@@ -158,28 +156,46 @@ def enumerate_va(h: HNType, r: int) -> list[VaBundle]:
     ranks = h.ranks
     _require_quotient_rank(sum(ranks), r)
     weights, den = _slope_weights(h)
-    indices = range(len(ranks))
+    pieces = tuple(zip(ranks, weights))
+    slopes: dict[int, Fraction] = {}  # blocks share few slope sums: one Fraction each
     out: list[VaBundle] = []
     for a in _bounded_compositions(ranks, r):
-        used = list(compress(indices, a))  # zero entries add nothing to either sum
-        rank = math.prod([math.comb(ranks[i], a[i]) for i in used])
-        num = sum([a[i] * weights[i] for i in used])
+        rank, num = 1, 0
+        # zero entries add nothing to either sum, so only the used pieces are read
+        for (c, w), k in zip(compress(pieces, a), compress(a, a)):
+            rank *= math.comb(c, k)
+            num += k * w
         total = rank * num
         if total % den:
             raise AssertionError("exterior-power degree must be an integer")
-        out.append(VaBundle(a, rank, total // den, Fraction(num, den)))
+        slope = slopes.get(num)
+        if slope is None:
+            slopes[num] = slope = Fraction(num, den)
+        out.append(VaBundle(a, rank, total // den, slope))
     return out
 
 
 def theta_oracle(h: HNType, r: int) -> Fraction:
-    """Brute-force minimum of slope sums over every composition.
+    """Exhaustive minimum of slope sums over every composition, by dynamic
+    programming over (piece, units used) in O(sum(caps) * r) integer steps.
 
-    Streams the exhaustive enumeration (only the running minimum is kept) and
-    shares no logic with the closed form in :func:`theta`; the two are meant
-    to check each other.  Deterministic and exact.
-    """
+    ``best[j]`` is the least slope numerator over j units of the pieces seen
+    so far (None while out of reach); each piece relaxes it with a = 1..c of
+    its c units.  It reads only the ranks and slopes, not the polygon, and
+    does not assume the slope order, so it shares no logic with the closed
+    form in :func:`theta`; the two are meant to check each other."""
     caps = h.ranks
     _require_quotient_rank(sum(caps), r)
     weights, den = _slope_weights(h)
-    best = min(sum(map(mul, a, weights)) for a in _bounded_compositions(caps, r))
-    return Fraction(best, den)
+    best: list = [0] + [None] * r
+    seen = 0
+    for c, w in zip(caps, weights):
+        prev = best[:]
+        for a in range(1, c + 1):
+            aw = a * w
+            for j in range(a, min(r, seen + a) + 1):
+                v = prev[j - a] + aw
+                if best[j] is None or v < best[j]:
+                    best[j] = v
+        seen += c
+    return Fraction(best[r], den)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,33 @@ class TestCommands:
         ]
         assert out.splitlines()[0].split() == ["composition", "rank", "degree", "slope_sum"]
 
+    @pytest.mark.parametrize(
+        "bundle, r",
+        [
+            ('{"pieces":[[4,8],[4,4],[4,0],[4,-4],[4,-8]]}', 7),
+            ('{"pieces":[[3,11],[1,3],[4,-1],[2,-7]]}', 5),
+            ('{"splitting":[9,8,7,6,5,4,3,2,1,1]}', 5),
+        ],
+    )
+    def test_vabundles_multi_rank(self, bundle, r):
+        """min_slope_sum is the least row, and the text table is the rows,
+        each cell padded to its column's width and each line right-stripped."""
+        report, code, _, _ = invoke(["vabundles", "--bundle", bundle, "--r", str(r), "--json"])
+        assert code == 0
+        result = report["result"]
+        assert result["count"] == len(result["va"])
+        assert result["min_slope_sum"] == str(min(Fraction(e["slope_sum"]) for e in result["va"]))
+        rows = [["composition", "rank", "degree", "slope_sum"]] + [
+            ["(" + ",".join(map(str, e["composition"])) + ")", str(e["rank"]), str(e["degree"]),
+             e["slope_sum"]]
+            for e in result["va"]
+        ]
+        widths = [max(len(row[i]) for row in rows) for i in range(4)]
+        expected = "".join(
+            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in rows
+        )
+        assert invoke(["vabundles", "--bundle", bundle, "--r", str(r)])[2] == expected
+
     def test_cone_gr_render(self):
         _, _, out, _ = invoke(["cone", "gr", "--bundle", '{"pieces":[[1,2],[1,1]]}', "--r", "1"])
         assert "(0,1), (1,-1)" in out
@@ -234,7 +262,6 @@ class TestCommands:
 
     def test_oracle_mismatch_exits_2(self, monkeypatch):
         import flagnef.cli as cli
-        from fractions import Fraction
 
         monkeypatch.setattr(cli, "theta_oracle", lambda h, r: Fraction(10**9))
         report, code, _, err = invoke(

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from flagnef import (
     FieldContext,
+    HNPiece,
     PositivityClass,
     QuotientRankOutOfRangeError,
     classify_tautological,
@@ -36,6 +39,21 @@ def hn_types_with_r(draw, max_pieces=4, piece_rank=3, degree_bound=9):
         h = make_hn_type([(h.pieces[0].rank + 1, h.pieces[0].degree)])
     r = draw(st.integers(1, h.rank - 1))
     return h, r
+
+
+@st.composite
+def multi_rank_types_with_r(draw):
+    """3 to 6 pieces of rank up to 4 with distinct slopes, so none merge."""
+    pieces = draw(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(-12, 12)),
+            min_size=3,
+            max_size=6,
+            unique_by=lambda p: Fraction(p[1], p[0]),
+        )
+    )
+    h = make_hn_type(merge_by_slope(pieces))
+    return h, draw(st.integers(1, h.rank - 1))
 
 
 class TestThresholdIndex:
@@ -176,6 +194,21 @@ class TestEnumerateVa:
         with pytest.raises(QuotientRankOutOfRangeError):
             enumerate_va(make_hn_type([(2, 0)]), 2)
 
+    @given(multi_rank_types_with_r())
+    def test_blocks_against_the_product(self, h_r):
+        """Every block, in order, against a filtered itertools.product with
+        binomial ranks and Fraction slope sums."""
+        h, r = h_r
+        expected = []
+        for a in itertools.product(*(range(c + 1) for c in h.ranks)):
+            if sum(a) == r:
+                rank = math.prod(math.comb(c, k) for c, k in zip(h.ranks, a))
+                slope_sum = sum(k * mu for k, mu in zip(a, h.slopes))
+                expected.append((a, rank, rank * slope_sum, slope_sum))
+        blocks = enumerate_va(h, r)
+        assert [tuple(b) for b in blocks] == expected
+        assert all(type(b.degree) is int and type(b.slope_sum) is Fraction for b in blocks)
+
 
 class TestBoundedCompositions:
     @given(st.lists(st.integers(0, 3), max_size=5), st.integers(-2, 17))
@@ -228,12 +261,37 @@ class TestOracle:
 
     @given(hn_types_with_r())
     def test_three_way_agreement(self, h_r):
-        """Closed form, streaming oracle and an independent product-based
-        brute force all agree."""
+        """Closed form, dynamic-programming oracle and an independent
+        product-based brute force all agree."""
         h, r = h_r
         expected = brute_min_slope_sum(h, r)
         assert theta_oracle(h, r) == expected
         assert theta(h, r).theta == expected
+
+    @given(multi_rank_types_with_r())
+    def test_multi_rank_pieces_against_the_product(self, h_r):
+        h, r = h_r
+        assert theta_oracle(h, r) == brute_min_slope_sum(h, r)
+
+    def test_five_rank_4_pieces_at_every_r(self):
+        h = make_hn_type([(4, 8), (4, 4), (4, 0), (4, -4), (4, -8)])
+        expected = [-2, -4, -6, -8, -9, -10, -11, -12, -12, -12, -12, -12, -11, -10, -9, -8, -6, -4, -2]
+        assert [brute_min_slope_sum(h, r) for r in range(1, 20)] == expected
+        assert [theta_oracle(h, r) for r in range(1, 20)] == expected
+
+    def test_1200_rank_1_pieces(self):
+        h = make_hn_type([(1, 1200 - i) for i in range(1200)])
+        assert theta_oracle(h, 1) == Fraction(1)
+
+    def test_reads_only_the_ranks_and_slopes(self, monkeypatch):
+        """No polygon, no closed form, and pieces in any slope order."""
+        module = importlib.import_module("flagnef.theta")  # the package binds theta() here
+        for name in ("theta", "_theta_parts", "_theta_value"):
+            monkeypatch.setattr(module, name, None)
+        pieces = (HNPiece(1, -3), HNPiece(4, 8), HNPiece(2, 1), HNPiece(3, 9))
+        h = SimpleNamespace(pieces=pieces, ranks=tuple(p.rank for p in pieces))
+        for r in range(1, 10):
+            assert theta_oracle(h, r) == brute_min_slope_sum(h, r)
 
     @given(hn_types_with_r())
     def test_oracle_equals_min_block_slope(self, h_r):
@@ -276,9 +334,9 @@ class TestTransformIdentities:
         assert (value == r * h.slope) == (len(h) == 1)
 
 
-def test_oracle_streams_at_scale():
-    """A rank-24 type with thousands of compositions finishes promptly
-    because only the running minimum is kept."""
+def test_oracle_scales_past_the_compositions():
+    """A rank-24 type with thousands of compositions finishes promptly: the
+    dynamic program takes O(rank * r) steps, not one per composition."""
     h = make_hn_type([(3, 20 - 5 * i) for i in range(8)])
     assert h.rank == 24
     assert theta(h, 12).theta == theta_oracle(h, 12)
