@@ -11,10 +11,13 @@ Each type carries its quotient polygon, built with it: the cumulative
 upward (the Harder-Narasimhan, or Shatz, polygon read from below).  The
 threshold invariant and both nef cones read it in integer arithmetic.
 
-Values are immutable after construction and every operation is a pure
-function, so the module is safe for unrestricted concurrent use.  Pieces and
-field contexts are named tuples whose constructors check their fields, so
-they also compare equal to plain tuples of the same fields.
+Values do not change once built, except a type's private ``_oracle`` slot,
+which :mod:`flagnef.theta` fills on first use; equality, hashing, ``repr``
+and pickling never read it.  A fill is idempotent and rebinds the slot to a
+new tuple instead of mutating one, so every operation, a pure function, is
+safe for unrestricted concurrent use.  Pieces and field contexts are named
+tuples whose constructors check their fields, so they also compare equal to
+plain tuples of the same fields.
 """
 
 from __future__ import annotations
@@ -176,9 +179,9 @@ class Polygon(NamedTuple):
 
 class HNType:
     """Ordered graded pieces with strictly decreasing slopes, and their
-    quotient polygon."""
+    quotient polygon.  ``_oracle`` stays unset until the oracle fills it."""
 
-    __slots__ = ("pieces", "polygon")
+    __slots__ = ("pieces", "polygon", "_oracle")
     pieces: tuple[HNPiece, ...]
     polygon: Polygon
 

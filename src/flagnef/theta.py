@@ -21,7 +21,10 @@ exhaustive dynamic program on the ranks and slopes alone, kept deliberately
 independent so the two can cross-check each other.  :func:`enumerate_va`
 lists the rank/degree bookkeeping of every block of the induced filtration
 on the r-th exterior power (whose minimal slope is theta), from an iterative
-enumeration of bounded compositions.  Nothing recurses on the number of pieces.
+enumeration of bounded compositions that carries each block's rank and
+slope numerator.  Both read data built once per type (``_oracle_data``), and
+the oracle's row grows by doubling, so every r of a type costs the oracle
+O(units * rank) in all.  Nothing recurses on the number of pieces.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress
 from typing import Iterator, NamedTuple
 
 from .errors import QuotientRankOutOfRangeError
@@ -94,7 +96,7 @@ def _theta_value(h: HNType, r: int) -> tuple[int, int]:
 
 def threshold_index(h: HNType, r: int) -> int:
     """Largest 1-based index t such that r_t + ... + r_d >= r."""
-    return theta(h, r).t
+    return len(h.pieces) + 1 - _theta_parts(h, r)[0]
 
 
 def theta(h: HNType, r: int) -> ThetaBreakdown:
@@ -113,58 +115,69 @@ def theta(h: HNType, r: int) -> ThetaBreakdown:
     )
 
 
-def _bounded_compositions(caps: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
-    """All tuples a with 0 <= a_i <= caps[i] and sum(a) == total,
-    lexicographically increasing.  An odometer: each step raises the
-    rightmost entry that can still take a unit from the entries after it and
-    refills those from the back, so every yielded tuple is valid, nothing is
-    materialized and nothing recurses.  A step walks only the entries it changes."""
+def _bounded_compositions(caps: tuple[int, ...], weights: tuple[int, ...],
+                          total: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """All tuples a with 0 <= a_i <= caps[i] and sum(a) == total, in
+    lexicographic order, as ``(a, prod comb(caps[i], a_i), sum a_i * weights[i])``.
+    An odometer: each step raises the rightmost entry that can still take a
+    unit from the entries after it and refills those from the back, so every
+    yielded tuple is valid, nothing is materialized and nothing recurses.  A
+    step walks only the entries it changes and updates both sums for them
+    alone (raising k to k + 1 scales comb(c, k) by (c - k) / (k + 1))."""
     if not 0 <= total <= sum(caps):
         return
     n = len(caps)
     a = [0] * n
+    rank, num = 1, 0
     i, rest = -1, total  # ``rest`` units go after position i
     while True:
         j = n
         while rest:  # the smallest suffix fills from the back
             j -= 1
-            a[j] = c = caps[j] if caps[j] < rest else rest
-            rest -= c
-        yield tuple(a)
+            c = caps[j]
+            a[j] = k = c if c < rest else rest
+            rest -= k
+            rank *= math.comb(c, k)  # 1 for a full entry
+            num += k * weights[j]
+        yield tuple(a), rank, num
         # scan back from the last nonzero entry, clearing what the refill will redo
         for i in range(n - 1 if j < n else i, -1, -1):
-            if rest and a[i] < caps[i]:
+            k, c = a[i], caps[i]
+            if rest and k < c:
                 break
-            rest += a[i]
+            rank //= math.comb(c, k)
+            num -= k * weights[i]
+            rest += k
             a[i] = 0
         else:
             return
-        a[i] += 1
+        rank = rank * (c - k) // (k + 1)
+        num += weights[i]
+        a[i] = k + 1
         rest -= 1
 
 
-def _slope_weights(h: HNType) -> tuple[tuple[int, ...], int]:
-    """Per-piece slope numerators over a common denominator:
-    slope_i = weights[i] / den.  Keeps the hot loops in integer arithmetic."""
-    den = math.lcm(*(p.rank for p in h.pieces))
-    return tuple(p.degree * (den // p.rank) for p in h.pieces), den
+def _oracle_data(h: HNType) -> tuple[tuple[int, ...], tuple[int, ...], int, list[int]]:
+    """``(ranks, weights, den, best)`` of h, kept in its ``_oracle`` slot:
+    slope_i = weights[i] / den, so the hot loops stay in integers, and
+    ``best`` is the oracle's row (``[0]`` until :func:`theta_oracle` grows it)."""
+    data = getattr(h, "_oracle", None)
+    if data is None:
+        ranks = tuple(p.rank for p in h.pieces)
+        den = math.lcm(*ranks)
+        data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0]
+        object.__setattr__(h, "_oracle", data)
+    return data
 
 
 def enumerate_va(h: HNType, r: int) -> list[VaBundle]:
     """All exterior-power blocks for quotient dimension r, one per
     composition, in lexicographic order of the composition."""
-    ranks = h.ranks
+    ranks, weights, den, _ = _oracle_data(h)
     _require_quotient_rank(sum(ranks), r)
-    weights, den = _slope_weights(h)
-    pieces = tuple(zip(ranks, weights))
     slopes: dict[int, Fraction] = {}  # blocks share few slope sums: one Fraction each
     out: list[VaBundle] = []
-    for a in _bounded_compositions(ranks, r):
-        rank, num = 1, 0
-        # zero entries add nothing to either sum, so only the used pieces are read
-        for (c, w), k in zip(compress(pieces, a), compress(a, a)):
-            rank *= math.comb(c, k)
-            num += k * w
+    for a, rank, num in _bounded_compositions(ranks, weights, r):
         total = rank * num
         if total % den:
             raise AssertionError("exterior-power degree must be an integer")
@@ -175,27 +188,40 @@ def enumerate_va(h: HNType, r: int) -> list[VaBundle]:
     return out
 
 
-def theta_oracle(h: HNType, r: int) -> Fraction:
-    """Exhaustive minimum of slope sums over every composition, by dynamic
-    programming over (piece, units used) in O(sum(caps) * r) integer steps.
-
-    ``best[j]`` is the least slope numerator over j units of the pieces seen
-    so far (None while out of reach); each piece relaxes it with a = 1..c of
-    its c units.  It reads only the ranks and slopes, not the polygon, and
-    does not assume the slope order, so it shares no logic with the closed
-    form in :func:`theta`; the two are meant to check each other."""
-    caps = h.ranks
-    _require_quotient_rank(sum(caps), r)
-    weights, den = _slope_weights(h)
-    best: list = [0] + [None] * r
-    seen = 0
-    for c, w in zip(caps, weights):
-        prev = best[:]
-        for a in range(1, c + 1):
+def _oracle_row(ranks: tuple[int, ...], weights: tuple[int, ...], top: int) -> list[int]:
+    """``best[j]`` for j = 0..top: the least slope numerator over j units
+    with at most ranks[i] from piece i, by dynamic programming over (piece,
+    units used).  Each piece (c, w) relaxes the row of the pieces before it
+    with a = 1..min(c, top) of its units, so no piece's rank sizes the work,
+    and the row stops at the units seen so far, so every entry is reachable."""
+    best = [0]
+    for c, w in zip(ranks, weights):
+        prev, seen = best, len(best) - 1  # units within reach so far, at most top
+        best = prev[:]
+        for a in range(1, min(c, top) + 1):
             aw = a * w
-            for j in range(a, min(r, seen + a) + 1):
+            for j in range(a, min(top, seen + a - 1) + 1):
                 v = prev[j - a] + aw
-                if best[j] is None or v < best[j]:
+                if v < best[j]:
                     best[j] = v
-        seen += c
+            if seen + a <= top:  # first reached with a units of this piece
+                best.append(prev[seen] + aw)
+    return best
+
+
+def theta_oracle(h: HNType, r: int) -> Fraction:
+    """Exhaustive minimum of slope sums over every composition, read from
+    the type's oracle row.  A call past the row's end rebuilds it up to
+    ``min(rank - 1, max(r, 2 * top))``: a first call builds only up to r,
+    and every r of a type together take O(units * rank) steps.  It reads
+    only the ranks and slopes, not the polygon, and does not assume the
+    slope order, so it shares no logic with the closed form in :func:`theta`;
+    the two are meant to check each other."""
+    ranks, weights, den, best = _oracle_data(h)
+    n = sum(ranks)
+    _require_quotient_rank(n, r)
+    top = len(best) - 1
+    if r > top:
+        best = _oracle_row(ranks, weights, min(n - 1, max(r, 2 * top)))
+        object.__setattr__(h, "_oracle", (ranks, weights, den, best))  # rebind, never mutate
     return Fraction(best[r], den)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,19 @@ def brute_min_slope_sum(h: HNType, r: int) -> Fraction:
             best = value
     assert best is not None
     return best
+
+
+def brute_blocks(h: HNType, r: int) -> list[tuple]:
+    """Reference exterior-power blocks, as plain (composition, rank, degree,
+    slope_sum) tuples in lexicographic order: a filtered itertools.product
+    with binomial ranks and Fraction slope sums."""
+    out = []
+    for a in itertools.product(*(range(p.rank + 1) for p in h.pieces)):
+        if sum(a) == r:
+            rank = math.prod(math.comb(p.rank, k) for p, k in zip(h.pieces, a))
+            slope_sum = sum(k * p.slope for k, p in zip(a, h.pieces))
+            out.append((a, rank, rank * slope_sum, slope_sum))
+    return out
 
 
 def merge_by_slope(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:

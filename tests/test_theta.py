@@ -22,7 +22,7 @@ from flagnef import (
     threshold_index,
 )
 from flagnef.theta import _bounded_compositions, _theta_value
-from helpers import brute_min_slope_sum, merge_by_slope
+from helpers import brute_blocks, brute_min_slope_sum, merge_by_slope
 
 
 @st.composite
@@ -199,25 +199,25 @@ class TestEnumerateVa:
         """Every block, in order, against a filtered itertools.product with
         binomial ranks and Fraction slope sums."""
         h, r = h_r
-        expected = []
-        for a in itertools.product(*(range(c + 1) for c in h.ranks)):
-            if sum(a) == r:
-                rank = math.prod(math.comb(c, k) for c, k in zip(h.ranks, a))
-                slope_sum = sum(k * mu for k, mu in zip(a, h.slopes))
-                expected.append((a, rank, rank * slope_sum, slope_sum))
         blocks = enumerate_va(h, r)
-        assert [tuple(b) for b in blocks] == expected
+        assert [tuple(b) for b in blocks] == brute_blocks(h, r)
         assert all(type(b.degree) is int and type(b.slope_sum) is Fraction for b in blocks)
 
 
 class TestBoundedCompositions:
-    @given(st.lists(st.integers(0, 3), max_size=5), st.integers(-2, 17))
-    def test_matches_the_filtered_product_in_order(self, caps, total):
-        """Every bounded composition once, lexicographically increasing;
-        a total below 0 or above sum(caps) gives none."""
-        caps = tuple(caps)
-        expected = [a for a in itertools.product(*(range(c + 1) for c in caps)) if sum(a) == total]
-        assert list(_bounded_compositions(caps, total)) == expected
+    @given(st.lists(st.integers(0, 3), max_size=5), st.integers(-2, 17),
+           st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+    def test_matches_the_filtered_product_in_order(self, caps, total, weights):
+        """Every bounded composition once, lexicographically increasing, with
+        its binomial product and weighted sum; a total below 0 or above
+        sum(caps) gives none."""
+        caps, weights = tuple(caps), tuple(weights[:len(caps)])
+        expected = [
+            (a, math.prod(math.comb(c, k) for c, k in zip(caps, a)),
+             sum(k * w for k, w in zip(a, weights)))
+            for a in itertools.product(*(range(c + 1) for c in caps)) if sum(a) == total
+        ]
+        assert list(_bounded_compositions(caps, weights, total)) == expected
 
     def test_a_step_reads_only_the_entries_it_changes(self):
         """On many rank-1 caps at total 1 each step moves one unit, so the
@@ -232,7 +232,8 @@ class TestBoundedCompositions:
                 return tuple.__getitem__(self, i)
 
         n = 1000
-        assert sum(1 for _ in _bounded_compositions(CountingCaps((1,) * n), 1)) == n
+        walk = _bounded_compositions(CountingCaps((1,) * n), (0,) * n, 1)
+        assert sum(1 for _ in walk) == n
         assert CountingCaps.reads <= 3 * n
 
 
@@ -279,9 +280,12 @@ class TestOracle:
         assert [brute_min_slope_sum(h, r) for r in range(1, 20)] == expected
         assert [theta_oracle(h, r) for r in range(1, 20)] == expected
 
-    def test_1200_rank_1_pieces(self):
+    def test_1200_rank_1_pieces(self, row_builds):
+        """A first call builds the row only up to its r, and a repeat reuses it."""
         h = make_hn_type([(1, 1200 - i) for i in range(1200)])
         assert theta_oracle(h, 1) == Fraction(1)
+        assert theta_oracle(h, 1) == Fraction(1)
+        assert row_builds == [1]
 
     def test_reads_only_the_ranks_and_slopes(self, monkeypatch):
         """No polygon, no closed form, and pieces in any slope order."""
@@ -301,6 +305,57 @@ class TestOracle:
         for b in blocks:
             assert (b.degree > 0) == (b.slope_sum > 0)
             assert (b.degree == 0) == (b.slope_sum == 0)
+
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """The ``top`` of every oracle row built while the test runs."""
+    module = importlib.import_module("flagnef.theta")
+    build, tops = module._oracle_row, []
+
+    def counting(ranks, weights, top):
+        tops.append(top)
+        return build(ranks, weights, top)
+
+    monkeypatch.setattr(module, "_oracle_row", counting)
+    return tops
+
+
+class TestOracleRow:
+    def test_every_r_of_a_type_rebuilds_the_row_log_many_times(self, row_builds):
+        """Over r = 1..n-1 the row doubles instead of being rebuilt per r, so
+        a whole type is O(units * rank) steps, not O(rank**3)."""
+        n = 400
+        h = make_hn_type([(1, n - i) for i in range(n)])
+        for r in range(1, n):
+            assert theta_oracle(h, r) == theta(h, r).theta
+        assert len(row_builds) <= math.ceil(math.log2(n)) + 1
+        assert row_builds[0] == 1 and row_builds[-1] == n - 1
+
+    def test_a_rank_10_8_piece_sizes_no_table(self, row_builds):
+        h = make_hn_type([[10**8, 0], [1, -1]])
+        assert theta_oracle(h, 1) == Fraction(-1)
+        assert [tuple(b) for b in enumerate_va(h, 1)] == [
+            ((0, 1), 1, -1, Fraction(-1)),
+            ((1, 0), 10**8, 0, Fraction(0)),
+        ]
+        assert row_builds == [1]
+        assert len(h._oracle[3]) == 2
+
+    @given(hn_types_with_r(), hn_types_with_r(), st.randoms(use_true_random=False))
+    def test_interleaved_types_in_any_order(self, h_r, g_r, rnd):
+        """Two types whose calls interleave, one with r descending and one
+        with r shuffled, then both again shuffled: every answer matches the
+        brute force on a fresh copy of its type."""
+        h, g = h_r[0], g_r[0]
+        down = [(h, r) for r in range(h.rank - 1, 0, -1)]
+        mixed = [(g, r) for r in rnd.sample(range(1, g.rank), g.rank - 1)]
+        calls = [c for pair in itertools.zip_longest(down, mixed) for c in pair if c]
+        calls += rnd.sample(down + mixed, len(down) + len(mixed))
+        for x, r in calls:
+            fresh = make_hn_type([(p.rank, p.degree) for p in x.pieces])
+            assert theta_oracle(x, r) == brute_min_slope_sum(fresh, r)
+            assert [tuple(b) for b in enumerate_va(x, r)] == brute_blocks(fresh, r)
 
 
 class TestTransformIdentities:

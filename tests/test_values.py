@@ -35,6 +35,7 @@ from flagnef import (
     grassmann_nef_cone,
     make_hn_type,
     theta,
+    theta_oracle,
 )
 from flagnef.hn import PRIME_BOUND
 
@@ -124,6 +125,19 @@ class TestTupleEquality:
         assert h != h.pieces
         assert h == HNType([HNPiece(1, 0)])
         assert len(h) == 1
+
+    def test_the_oracle_slot_is_not_part_of_the_value(self):
+        h = make_hn_type([(1, 1), (2, -1)])
+        theta_oracle(h, 2)
+        enumerate_va(h, 1)
+        assert h._oracle is not None
+        assert h == make_hn_type([(1, 1), (2, -1)])
+        assert hash(h) == hash(make_hn_type([(1, 1), (2, -1)]))
+        assert repr(h) == VALUES["HNType"][1]
+        for duplicate in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+            assert duplicate == h and getattr(duplicate, "_oracle", None) is None
+        with pytest.raises(AttributeError):
+            h._oracle = None
 
     def test_replace_and_make_go_through_the_checks(self):
         assert RayGr(0, 1)._replace(v=-1) == RayGr(0, -1)
