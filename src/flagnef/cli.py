@@ -3,7 +3,10 @@
 All arithmetic happens in the core modules; this layer parses, dispatches and
 renders.  Each subcommand is declared once, in the command table
 ``_COMMANDS``: its help, its options, the function computing its result and
-its text layout.  The argparse tree is built from the table once per process.
+its text layout.  A request in plain form (the command's words, then each
+option at most once as ``--flag value``) is read straight from the table;
+any other argv, ``--help`` included, goes to an argparse tree built from the
+same table on first use, so a plain request never imports argparse.
 Rationals travel as reduced "num/den" strings ("/1" omitted) so downstream
 tools never coerce them to floats.  Exit codes: 0 success, 1 invalid input,
 2 internal invariant violation (oracle mismatch).
@@ -11,13 +14,13 @@ tools never coerce them to floats.  Exit codes: 0 success, 1 invalid input,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence, TextIO
 
 from .cones import (FlagType, NSClassFlag, NSClassGr, flag_nef_cone, grassmann_nef_cone,
                     is_ample_gr, is_nef_flag, is_nef_gr)
@@ -27,6 +30,9 @@ from .hn import CHAR_ZERO, DIGIT_LIMIT, FieldContext, HNType, hn_from_splitting_
 from .positivity import PositivityClass
 from .theta import enumerate_va, theta, theta_oracle
 
+if TYPE_CHECKING:
+    import argparse
+
 # A Report is a plain JSON-serializable dict with keys command/input/result.
 Report = dict
 
@@ -34,6 +40,9 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 _CORPUS = {"max_rank": 6, "max_abs_degree": 4}
+
+READ_LIMIT = 2**20  # bytes of one @file argument
+CHECK_LIMIT = 50_000  # oracle checks of one oracle-check --bundle; the corpus makes 27,031
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
@@ -56,7 +65,7 @@ def _int_arg(text: str) -> int:
             return int(text)
         except ValueError:  # beyond the int/str conversion limit
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise ParseError(f"invalid int value: {text!r}")
 
 
 def _load_json(text: str, what: str) -> Any:
@@ -72,14 +81,20 @@ def _load_json(text: str, what: str) -> Any:
 
 
 def _read_arg(value: str) -> str:
-    """Inline text, or the contents of a file given as @path."""
-    if value.startswith("@"):
-        try:
-            with open(value[1:], "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {value[1:]}: {exc}") from exc
-    return value
+    """Inline text, or the contents of a UTF-8 file of at most READ_LIMIT
+    bytes given as @path."""
+    if not value.startswith("@"):
+        return value
+    path = value[1:]
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(READ_LIMIT + 1)
+        if len(data) > READ_LIMIT:
+            raise LimitExceededError(f"{path} has more than {READ_LIMIT} bytes")
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # newlines as a text-mode read
 
 
 def _plain_int(value: Any, where: str) -> int:
@@ -154,7 +169,7 @@ def _bundle(text: str) -> tuple[dict, dict]:
 def _flag(text: str) -> tuple[dict, list]:
     try:
         dims = tuple(_int_arg(part) for part in text.split(","))
-    except argparse.ArgumentTypeError as exc:
+    except ParseError as exc:
         raise ParseError(f"--flag expects comma-separated integers, got {text!r}") from exc
     fl = _validated(FlagType, dims)
     return {"flag": fl}, list(fl.quotient_dims)
@@ -181,16 +196,21 @@ def _class_flag(text: str) -> tuple[dict, dict]:
 
 class _Option(NamedTuple):
     """One option: its flag (whose name is also its key in the report's
-    "input"), its parser, and its argparse keywords."""
+    "input"), its parser, and its argparse keywords, which the plain reader
+    follows too: ``dest``, ``required`` and ``type``."""
 
     flag: str
     parse: Callable[[Any], tuple[dict, Any]]
     spec: dict
 
+    @property
+    def dest(self) -> str:
+        return self.spec.get("dest", self.flag[2:])
+
 
 _BUNDLE_HELP = "bundle spec: inline JSON or @file"
 _BUNDLE = _Option("--bundle", _bundle, {"required": True, "help": _BUNDLE_HELP})
-_R = _Option("--r", lambda r: ({}, r),  # argparse has made it an int
+_R = _Option("--r", lambda r: ({}, r),  # already an int: its "type" converted it
              {"type": _int_arg, "required": True, "help": "quotient dimension"})
 _FLAG = _Option("--flag", _flag, {"required": True, "help": "quotient dimensions r1,r2,..."})
 _CLASS = {"dest": "ns_class", "required": True}
@@ -239,7 +259,7 @@ def _va_table(result: dict) -> str:
 class _Command(NamedTuple):
     help: str
     options: tuple[_Option, ...]  # in the order of the report's "input"
-    compute: Callable[[argparse.Namespace], dict]
+    compute: Callable[[SimpleNamespace], dict]
     layout: Callable[[dict], str]
 
 
@@ -252,14 +272,14 @@ _GROUP_HELP = {"cone": "nef cone extremal rays", "member": "nef / ample membersh
 
 def _command(name: str, help: str, *options: _Option, layout: Callable[[dict], str] = _aligned):
     """Declare subcommand ``name``; the decorated function is its compute."""
-    def declare(compute: Callable[[argparse.Namespace], dict]) -> Callable:
+    def declare(compute: Callable[[SimpleNamespace], dict]) -> Callable:
         _COMMANDS[name] = _Command(help, options, compute, layout)
         return compute
     return declare
 
 
 @_command("theta", "threshold invariant with full breakdown", _BUNDLE, _R)
-def _theta(a: argparse.Namespace) -> dict:
+def _theta(a: SimpleNamespace) -> dict:
     bd = theta(a.h, a.r)
     return {"theta": str(bd.theta), "t": bd.t, "s": bd.s, "mu_t": str(bd.mu_t),
             "tail_rank": bd.tail_rank, "tail_degree": bd.tail_degree}
@@ -267,39 +287,39 @@ def _theta(a: argparse.Namespace) -> dict:
 
 @_command("classify", "positivity of the tautological line bundle", _BUNDLE, _R,
           layout=lambda result: result["class"] + "\n")
-def _classify(a: argparse.Namespace) -> dict:
+def _classify(a: SimpleNamespace) -> dict:
     value = theta(a.h, a.r).theta
     return {"class": PositivityClass.of(value).value, "theta": str(value)}
 
 
 @_command("cone gr", "Grassmann bundle", _BUNDLE, _R)
-def _cone_gr(a: argparse.Namespace) -> dict:
+def _cone_gr(a: SimpleNamespace) -> dict:
     cone = grassmann_nef_cone(a.h, a.r, a.ctx)
     rays = [[cone.fiber_ray.u, cone.fiber_ray.v], [cone.theta_ray.u, cone.theta_ray.v]]
     return {"rays": rays, "theta": str(cone.theta_used), "p_delta": cone.p_delta}
 
 
 @_command("cone flag", "flag bundle", _BUNDLE, _FLAG)
-def _cone_flag(a: argparse.Namespace) -> dict:
+def _cone_flag(a: SimpleNamespace) -> dict:
     cone = flag_nef_cone(a.h, a.flag, a.ctx)
     thetas = [str(t) for t in cone.thetas_used]
     return {"rays": [list(ray) for ray in cone.rays], "thetas": thetas, "p_delta": cone.p_delta}
 
 
 @_command("member gr", "Grassmann bundle", _BUNDLE, _R, _CLASS_GR)
-def _member_gr(a: argparse.Namespace) -> dict:
+def _member_gr(a: SimpleNamespace) -> dict:
     cone = grassmann_nef_cone(a.h, a.r, a.ctx)
     return {"nef": is_nef_gr(a.ns_class, cone), "ample": is_ample_gr(a.ns_class, cone)}
 
 
 @_command("member flag", "flag bundle", _BUNDLE, _FLAG, _CLASS_FLAG)
-def _member_flag(a: argparse.Namespace) -> dict:
+def _member_flag(a: SimpleNamespace) -> dict:
     return {"nef": is_nef_flag(a.ns_class, flag_nef_cone(a.h, a.flag, a.ctx))}
 
 
 @_command("vabundles", "exterior-power blocks with exact rank and degree", _BUNDLE, _R,
           layout=_va_table)
-def _vabundles(a: argparse.Namespace) -> dict:
+def _vabundles(a: SimpleNamespace) -> dict:
     blocks = enumerate_va(a.h, a.r)
     va = [{"composition": list(b.composition), "rank": b.rank, "degree": b.degree,
            "slope_sum": str(b.slope_sum)} for b in blocks]
@@ -311,7 +331,7 @@ def _vabundles(a: argparse.Namespace) -> dict:
           _BUNDLE._replace(spec={"help": _BUNDLE_HELP}),
           _R._replace(spec={
               "type": _int_arg, "help": "check a single quotient dimension (needs --bundle)"}))
-def _oracle_check(a: argparse.Namespace) -> dict:
+def _oracle_check(a: SimpleNamespace) -> dict:
     """Without --bundle, sweeps the built-in corpus.  A mismatch is printed
     to stderr and reported as "ok": false, which exits 2."""
     if a.r is not None and a.bundle is None:
@@ -319,6 +339,9 @@ def _oracle_check(a: argparse.Namespace) -> dict:
     if a.bundle is None:
         types: Any = iter_hn_types(**_CORPUS)
         a.input["corpus"] = dict(_CORPUS)
+    elif a.r is None and a.h.rank - 1 > CHECK_LIMIT:
+        raise LimitExceededError(f"oracle-check without --r would make more than {CHECK_LIMIT} "
+                                 "checks on this bundle; give --r")
     else:
         types = [a.h]
     n_types = checks = mismatches = 0
@@ -340,21 +363,67 @@ class _HelpRequested(Exception):
     """--help was given; the single argument is the help text."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on usage errors; here all input problems are
-    # exit 1.  Nor does --help print to sys.stdout and exit: run_command
-    # writes the text to its own stdout.
-    def error(self, message: str) -> None:
-        raise ParseError(message)
-
-    def print_help(self, file: TextIO | None = None) -> None:
-        raise _HelpRequested(self.format_help())
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """Read a request in plain form straight from the command table: the
+    command's words, then each of its options at most once as ``--flag
+    value`` with a value not led by "-", and ``--json`` at most once.  Any
+    other argv returns None, for argparse.  The two usage errors a plain
+    request can hold read as argparse writes them: a value its ``type``
+    rejects, in argv order, then the missing required options."""
+    head = argv[:2] if argv and argv[0] in _GROUP_HELP else argv[:1]
+    name = " ".join(head)
+    if name not in _COMMANDS or " " in head[0]:
+        return None
+    options = {opt.flag: opt for opt in _COMMANDS[name].options}
+    given: dict[str, str] = {}  # flag -> value, in argv order
+    as_json = False
+    i = len(head)
+    while i < len(argv):
+        if argv[i] == "--json" and not as_json:
+            as_json, i = True, i + 1
+        elif (argv[i] in options and argv[i] not in given and i + 1 < len(argv)
+              and not argv[i + 1].startswith("-")):
+            given[argv[i]], i = argv[i + 1], i + 2
+        else:
+            return None
+    args = SimpleNamespace(name=name, json=as_json, **{opt.dest: None for opt in options.values()})
+    for flag, value in given.items():
+        try:
+            setattr(args, options[flag].dest, options[flag].spec.get("type", str)(value))
+        except ParseError as exc:
+            raise ParseError(f"argument {flag}: {exc}") from None
+    missing = [flag for flag, opt in options.items()
+               if opt.spec.get("required") and flag not in given]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree of the command table, built once per process.
-    Every caller gets the same parser, so none may change it."""
+    """The argparse tree of the command table, built on first use and once
+    per process.  Every caller gets the same parser, so none may change it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with code 2 on usage errors; here all input problems
+        # are exit 1.  Nor does --help print to sys.stdout and exit:
+        # run_command writes the text to its own stdout.
+        def error(self, message: str) -> None:
+            raise ParseError(message)
+
+        def print_help(self, file: TextIO | None = None) -> None:
+            raise _HelpRequested(self.format_help())
+
+    def typed(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+        # argparse words an ArgumentTypeError as "argument --r: <message>"
+        def argparse_type(text: str) -> Any:
+            try:
+                return convert(text)
+            except ParseError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return argparse_type
+
     parser = _Parser(prog="flagnef", description=(
         "Exact positivity and nef-cone computations for Grassmann and flag "
         "bundles over a curve, from Harder-Narasimhan data."))
@@ -366,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
             subs[group] = p_group.add_subparsers(dest="target", required=True, metavar="target")
         p = subs[group].add_parser(leaf, help=command.help)
         for opt in command.options:
-            p.add_argument(opt.flag, **opt.spec)
+            spec = {**opt.spec, "type": typed(opt.spec["type"])} if "type" in opt.spec else opt.spec
+            p.add_argument(opt.flag, **spec)
         p.add_argument("--json", action="store_true", help="emit the report as one JSON document")
         p.set_defaults(name=name)
     return parser
@@ -393,11 +463,11 @@ def run_command(argv: Sequence[str], stdout: TextIO | None = None,
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = build_parser().parse_args(list(argv))
+        args = _plain_args(argv) or build_parser().parse_args(list(argv), SimpleNamespace())
         command = _COMMANDS[args.name]
         args.input, args.stderr = {}, err
         for opt in command.options:
-            raw = getattr(args, opt.spec.get("dest", opt.flag[2:]))
+            raw = getattr(args, opt.dest)
             if raw is not None:
                 attrs, args.input[opt.flag[2:]] = opt.parse(raw)
                 vars(args).update(attrs)

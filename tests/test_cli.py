@@ -11,8 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flagnef.cli as cli
 from flagnef import CHAR_ZERO, FieldContext, ValidationError, make_hn_type
 from flagnef.cli import (
+    CHECK_LIMIT,
+    READ_LIMIT,
     build_parser,
     main,
     parse_bundle_spec,
@@ -279,6 +282,46 @@ class TestCommands:
         assert report["result"]["class"] == "nef_not_ample"
 
 
+class TestFileArguments:
+    def test_a_file_of_the_byte_limit_is_read(self, tmp_path):
+        spec = tmp_path / "bundle.json"
+        spec.write_bytes(b'{"pieces":[[2,0]]}'.ljust(READ_LIMIT))
+        report, code, _, _ = invoke(["classify", "--bundle", f"@{spec}", "--r", "1"])
+        assert (code, report["result"]["class"]) == (0, "nef_not_ample")
+
+    def test_a_file_past_the_byte_limit_is_refused(self, tmp_path):
+        spec = tmp_path / "bundle.json"
+        spec.write_bytes(b'{"pieces":[[2,0]]}'.ljust(READ_LIMIT + 1))
+        report, code, out, err = invoke(["classify", "--bundle", f"@{spec}", "--r", "1"])
+        assert (report, code, out) == (None, 1, "")
+        assert err == f"flagnef: error[LimitExceeded]: {spec} has more than {READ_LIMIT} bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_an_endless_file_is_refused_in_time(self):
+        start = time.perf_counter()
+        report, code, out, err = invoke(["theta", "--bundle", "@/dev/zero", "--r", "1"])
+        assert (report, code, out) == (None, 1, "")
+        assert err.startswith("flagnef: error[LimitExceeded]: /dev/zero has more than")
+        assert time.perf_counter() - start < 1
+
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        spec = tmp_path / "bundle.json"
+        spec.write_bytes(b"\xff\xfe")
+        report, code, out, err = invoke(["theta", "--bundle", f"@{spec}", "--r", "1"])
+        assert (report, code, out) == (None, 1, "")
+        assert err.startswith(f"flagnef: error[ParseError]: cannot read {spec}: 'utf-8' codec")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n", b"\n"])
+    def test_newlines_are_read_as_in_text_mode(self, tmp_path, newline):
+        spec = tmp_path / "class.json"
+        spec.write_bytes(newline.join([b"{", b'"x": "1",', b'"y": oops}']))
+        _, code, _, err = invoke(["member", "gr", "--bundle", '{"pieces":[[1,1],[1,-1]]}',
+                                  "--r", "1", "--class", f"@{spec}"])
+        assert code == 1
+        assert "class: invalid JSON at line 3 column 6" in err
+
+
 class TestExitCodes:
     def test_invalid_bundle_json(self):
         report, code, out, err = invoke(["theta", "--bundle", "{oops", "--r", "1"])
@@ -356,6 +399,33 @@ class TestManyPieces:
         report, code, _, err = invoke(["oracle-check", "--bundle", self.BUNDLE, "--r", "1"])
         assert (code, err) == (0, "")
         assert report["result"] == {"types": 1, "checks": 1, "mismatches": 0, "ok": True}
+
+
+class TestCheckLimit:
+    HUGE = '{"pieces":[[100000000,0],[1,-1]]}'
+
+    def test_limit_is_above_the_corpus_sweep(self):
+        assert CHECK_LIMIT > 27031
+
+    def test_every_r_of_a_huge_type_is_refused_at_once(self):
+        start = time.perf_counter()
+        report, code, out, err = invoke(["oracle-check", "--bundle", self.HUGE])
+        assert (report, code, out) == (None, 1, "")
+        assert err.startswith("flagnef: error[LimitExceeded]: oracle-check without --r would make")
+        assert time.perf_counter() - start < 0.1
+
+    def test_one_r_of_a_huge_type_is_answered(self):
+        report, code, _, _ = invoke(["oracle-check", "--bundle", self.HUGE, "--r", "1"])
+        assert code == 0
+        assert report["result"] == {"types": 1, "checks": 1, "mismatches": 0, "ok": True}
+
+    def test_the_limit_counts_checks(self, monkeypatch):
+        monkeypatch.setattr(cli, "CHECK_LIMIT", 3)
+        report, code, _, _ = invoke(["oracle-check", "--bundle", '{"splitting":[3,1,1,0]}'])
+        assert (code, report["result"]["checks"]) == (0, 3)
+        _, code, _, err = invoke(["oracle-check", "--bundle", '{"splitting":[4,3,1,1,0]}'])
+        assert code == 1
+        assert "more than 3 checks" in err
 
 
 class TestStrictIntegers:
@@ -565,6 +635,59 @@ class TestFuzz:
                 assert json.loads(out) == report
 
 
+# --- the plain reader against argparse -----------------------------------------
+
+_B = '{"pieces":[[1,1],[2,-1]]}'
+_GOOD = {"--bundle": [_B, '{"splitting":[1,0]}'], "--r": ["1", "2", " 2"], "--flag": ["1", "1,2"],
+         "--class": ['{"x":"1","y":"-1"}', '{"x":["1"],"y":"0"}', '{"x":["1","1"],"y":"0"}']}
+_VALUES = ["{", "1_0", "-1", "", "-x", "2,1", "@/nonexistent.json"]
+_TOKENS = st.sampled_from(
+    ["theta", "cone", "member", "gr", "flag", "oracle-check", "frobnicate", "cone gr"]
+    + ["--bundle", "--r", "--flag", "--class", "--json", "--bun", "--b", "--cl", "--j", "--fl",
+       "-h", "--help", "--", "--x", "-r"]
+    + ["--r=2", "--r=1_0", "--bundle=" + _B, "--bun=" + _B, "--json=1", "--class="]
+    + _VALUES + [value for values in _GOOD.values() for value in values])
+
+
+@st.composite
+def _token_argvs(draw):
+    """Command words, then the command's options, most of them once as a
+    plain request has them, each value good or bad, with up to two tokens
+    of any kind put in anywhere."""
+    words = draw(st.sampled_from(_COMMAND_WORDS * 3 + [[], ["cone"], ["frobnicate"], ["cone gr"]]))
+    command = cli._COMMANDS.get(" ".join(words))
+    argv = list(words)
+    flags = [opt.flag for opt in command.options] if command else []
+    for flag in draw(st.permutations(flags + ["--json"])):
+        if flag == "--json":
+            argv += [flag] * draw(st.integers(0, 1))
+        else:  # absent, once, or twice
+            for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2]))):
+                argv += [flag, draw(st.sampled_from(_GOOD[flag] * 5 + _VALUES))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_TOKENS))
+    return argv
+
+
+class TestPlainReader:
+    @settings(max_examples=400, deadline=None)
+    @given(_token_argvs())
+    @example(["theta", "--r", "1_0"])
+    @example(["member", "gr", "--bundle", _B])
+    @example(["theta", "--bundle", _B, "--r", "1", "--json", "--json"])
+    @example(["theta", "--bundle", _B, "--r", "1_0", "--r", "1"])
+    @example(["theta", "--bun", _B, "--r", "1"])
+    @example(["theta", "--bundle", _B, "--r=2"])
+    @example(["theta", "--bundle", _B, "--r", "-1"])
+    @example(["theta", "--bundle", _B, "--r", "1", "-h"])
+    def test_argparse_reads_every_argv_alike(self, argv):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CORPUS", {"max_rank": 3, "max_abs_degree": 1})
+            plain = invoke(argv)
+            patch.setattr(cli, "_plain_args", lambda argv: None)
+            assert invoke(argv) == plain
+
+
 class TestCommandTable:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
@@ -627,10 +750,30 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["result"]["theta"] == "0"
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_no_dataclasses_inspect_or_argparse():
     """The CLI's import stays lean: ``dataclasses`` alone pulls in
-    ``inspect``.  ``-S`` keeps site hooks out of the count."""
+    ``inspect``, and argparse waits for a request that needs it.  ``-S``
+    keeps site hooks out of the count."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = "import sys, flagnef.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    names = "{'argparse', 'dataclasses', 'inspect'}"
+    code = f"import sys, flagnef.cli; print(sorted({names} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_plain_requests_never_import_argparse():
+    """A valid request and the two usage errors of a plain request are read
+    without argparse; --help, the control, imports it."""
+    bundle = '{"pieces":[[2,0]]}'
+    argvs = [["theta", "--bundle", bundle, "--r", "1", "--json"], ["theta", "--bundle", bundle],
+             ["theta", "--bundle", bundle, "--r", "1_0"], ["theta", "--help"]]
+    code = ("import io, json, sys\n"
+            "from flagnef.cli import run_command\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    _, exit_code = run_command(argv, io.StringIO(), io.StringIO())\n"
+            "    print(exit_code, 'argparse' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["0 False", "1 False", "1 False", "0 True"]
