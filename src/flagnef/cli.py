@@ -42,7 +42,7 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _CORPUS = {"max_rank": 6, "max_abs_degree": 4}
 
 READ_LIMIT = 2**20  # bytes of one @file argument
-CHECK_LIMIT = 50_000  # oracle checks of one oracle-check --bundle; the corpus makes 27,031
+ORACLE_LIMIT = 4_000_000  # oracle steps of one oracle-check --bundle: top * sum(min(r_i, top))
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
@@ -339,10 +339,11 @@ def _oracle_check(a: SimpleNamespace) -> dict:
     if a.bundle is None:
         types: Any = iter_hn_types(**_CORPUS)
         a.input["corpus"] = dict(_CORPUS)
-    elif a.r is None and a.h.rank - 1 > CHECK_LIMIT:
-        raise LimitExceededError(f"oracle-check without --r would make more than {CHECK_LIMIT} "
-                                 "checks on this bundle; give --r")
     else:
+        top = a.h.rank - 1 if a.r is None else a.r  # the oracle's row runs to top
+        if 0 < top < a.h.rank and top * sum(min(c, top) for c in a.h.ranks) > ORACLE_LIMIT:
+            raise LimitExceededError(f"oracle-check would take more than {ORACLE_LIMIT} oracle "
+                                     "steps on this bundle; give a smaller --r")
         types = [a.h]
     n_types = checks = mismatches = 0
     for h in types:

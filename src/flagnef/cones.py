@@ -1,24 +1,19 @@
 """Exact Neron-Severi coordinates and nef cones of Grassmann and flag bundles.
 
-Over a curve, the real Neron-Severi space of a Grassmann bundle has rank two,
-with basis the tautological class O(1) and the fiber class L (pullback of a
-degree-one line bundle on the base).  For a flag bundle with nu quotient
-dimensions it has rank nu + 1, with basis the pullbacks O_1, ..., O_nu of the
-tautological classes of the individual Grassmann bundles together with L.
+Over a curve, the real Neron-Severi space of a flag bundle with quotient
+dimensions r_1 < ... < r_nu has rank nu + 1, with basis the pullbacks
+O_1, ..., O_nu of the tautological classes of the Grassmann bundles
+Gr_{r_i}(E) together with the fiber class L (pullback of a degree-one line
+bundle on the base).  The cone is simplicial, and one sign law decides it:
+sum_i x_i * O_i + y * L is nef iff
 
-The nef cones are simplicial.  They are emitted as primitive integer extremal
-rays, and membership is decided by closed-form exact inequalities: a class
-(x, y) on the Grassmann bundle is nef iff
-
-    x >= 0   and   p_delta * y + theta * x >= 0,
+    every x_i >= 0   and   p_delta * y + sum_i theta(r_i) * x_i >= 0,
 
 where theta is the threshold invariant of the (stabilized) type and p_delta
-the Frobenius normalization (1 in characteristic zero).  The flag cone uses
-one such x-inequality per factor and the combined y-law.
-
-Rays and verdicts are computed from the numerators and denominators of the
-invariants and classes, in integer arithmetic; ``Fraction`` values appear
-only as fields of the returned descriptions.
+the Frobenius normalization (1 in characteristic zero).  A Grassmann bundle
+is the case nu = 1, with basis O(1) and L.  Rays and verdicts are integer
+arithmetic on numerators and denominators; ``Fraction`` values appear only as
+fields of the returned descriptions.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from .errors import (
     InvalidFlagTypeError,
 )
 from .hn import CHAR_ZERO, FieldContext, HNType, _checked_tuple, _shown, as_fraction
-from .theta import _theta_value
+from .theta import _theta_parts
 
 
 def primitive_ray(coords: Iterable[Fraction | int]) -> tuple[int, ...]:
@@ -90,19 +85,15 @@ class ConeDescriptionGr(NamedTuple):
 def _theta_ray(pd: int, num: int, den: int) -> tuple[int, int]:
     """Primitive (u, v) on the ray through (pd, -num/den), den > 0:
     (pd*den, -num) divided by their gcd."""
-    g = math.gcd(pd * den, num)
-    return pd * den // g, -num // g
+    u = pd * den
+    g = math.gcd(u, num)
+    return u // g, -num // g
 
 
-def _law(pd: int, thetas: Iterable[Fraction], xs: Iterable[Fraction], y: Fraction) -> int:
-    """An integer with the sign of p_delta*y + sum_i theta_i*x_i: its
-    numerator over a positive common denominator."""
-    num, den = pd * y.numerator, y.denominator
-    for t, x in zip(thetas, xs):
-        d = t.denominator * x.denominator
-        num = num * d + t.numerator * x.numerator * den
-        den *= d
-    return num
+def _law(pd: int, y: Fraction, num: int, den: int) -> int:
+    """The numerator of p_delta*y + num/den over the positive denominator
+    y_d*den (den > 0): an integer with its sign."""
+    return pd * y.numerator * den + num * y.denominator
 
 
 _FIBER_RAY = RayGr(0, 1)
@@ -114,27 +105,23 @@ def grassmann_nef_cone(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> Cone
     In characteristic p the caller passes the delta-stabilized type together
     with (p, delta); the tautological-side ray then sits at (p**delta, -theta).
     """
-    num, den = _theta_value(h, r)
+    _, num, den = _theta_parts(h, r)
     pd = ctx.p_delta
     return ConeDescriptionGr(_FIBER_RAY, RayGr(*_theta_ray(pd, num, den)), Fraction(num, den), pd)
 
 
-def _gr_law(c: NSClassGr, cone: ConeDescriptionGr) -> int:
-    """An integer with the sign of p_delta*y + theta*x: p_delta*y_n*t_d*x_d
-    + t_n*x_n*y_d, for y = y_n/y_d, theta = t_n/t_d and x = x_n/x_d."""
-    x, y, t = c.x, c.y, cone.theta_used
-    return (cone.p_delta * y.numerator * t.denominator * x.denominator
-            + t.numerator * x.numerator * y.denominator)
-
-
 def is_nef_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
     """Exact nef test; boundary classes count as nef."""
-    return c.x.numerator >= 0 and _gr_law(c, cone) >= 0
+    x, t = c.x, cone.theta_used
+    return x.numerator >= 0 and _law(cone.p_delta, c.y, t.numerator * x.numerator,
+                                     t.denominator * x.denominator) >= 0
 
 
 def is_ample_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
     """Strict interior of the nef cone."""
-    return c.x.numerator > 0 and _gr_law(c, cone) > 0
+    x, t = c.x, cone.theta_used
+    return x.numerator > 0 and _law(cone.p_delta, c.y, t.numerator * x.numerator,
+                                    t.denominator * x.denominator) > 0
 
 
 class FlagType(_checked_tuple("FlagType", [("quotient_dims", tuple)])):
@@ -196,14 +183,14 @@ def flag_nef_cone(h: HNType, fl: FlagType, ctx: FieldContext = CHAR_ZERO) -> Con
         )
     pd = ctx.p_delta
     nu = fl.nu
-    values = [_theta_value(h, r_i) for r_i in fl.quotient_dims]
-    rays = []
-    for i, (num, den) in enumerate(values):
+    rays, thetas = [], []
+    for i, r_i in enumerate(fl.quotient_dims):
+        _, num, den = _theta_parts(h, r_i)
         u, v = _theta_ray(pd, num, den)
         rays.append((0,) * i + (u,) + (0,) * (nu - 1 - i) + (v,))
+        thetas.append(Fraction(num, den))
     rays.append((0,) * nu + (1,))
-    thetas = tuple(Fraction(num, den) for num, den in values)
-    return ConeDescriptionFlag(fl, tuple(rays), thetas, pd)
+    return ConeDescriptionFlag(fl, tuple(rays), tuple(thetas), pd)
 
 
 def is_nef_flag(c: NSClassFlag, cone: ConeDescriptionFlag) -> bool:
@@ -214,7 +201,11 @@ def is_nef_flag(c: NSClassFlag, cone: ConeDescriptionFlag) -> bool:
         )
     if any(xi.numerator < 0 for xi in c.x):
         return False
-    return _law(cone.p_delta, cone.thetas_used, c.x, c.y) >= 0
+    num, den = 0, 1  # sum_i theta_i * x_i
+    for t, x in zip(cone.thetas_used, c.x):
+        d = t.denominator * x.denominator
+        num, den = num * d + t.numerator * x.numerator * den, den * d
+    return _law(cone.p_delta, c.y, num, den) >= 0
 
 
 def pullback_to_flag(i: int, c: NSClassGr, fl: FlagType) -> NSClassFlag:

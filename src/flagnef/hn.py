@@ -6,18 +6,17 @@ the numerical type of its Harder-Narasimhan filtration: the ordered list of
 decreasing slopes.  All arithmetic is exact, using arbitrary-precision
 integers and :class:`fractions.Fraction`; no floating point appears anywhere.
 
-Each type carries its quotient polygon, built with it: the cumulative
-(rank, degree) vertices of the pieces from the bottom of the filtration
-upward (the Harder-Narasimhan, or Shatz, polygon read from below).  The
-threshold invariant and both nef cones read it in integer arithmetic.
+Each type carries its quotient polygon, built with it (the
+Harder-Narasimhan, or Shatz, polygon read from below), which the threshold
+invariant and both nef cones read in integer arithmetic.
 
 Values do not change once built, except a type's private ``_oracle`` slot,
 which :mod:`flagnef.theta` fills on first use; equality, hashing, ``repr``
 and pickling never read it.  A fill is idempotent and rebinds the slot to a
 new tuple instead of mutating one, so every operation, a pure function, is
 safe for unrestricted concurrent use.  Pieces and field contexts are named
-tuples whose constructors check their fields, so they also compare equal to
-plain tuples of the same fields.
+tuples whose fields are exactly their constructors' checked arguments; they
+also compare equal to plain tuples of those fields.
 """
 
 from __future__ import annotations
@@ -119,15 +118,14 @@ class HNPiece(_checked_tuple("HNPiece", [("rank", int), ("degree", int)])):
         return Fraction(self.degree, self.rank)
 
 
-class FieldContext(_checked_tuple("FieldContext", [("p", int), ("delta", int), ("p_delta", int)])):
+class FieldContext(_checked_tuple("FieldContext", [("p", int), ("delta", int)])):
     """Characteristic data of the base field.
 
     ``p == 0`` means characteristic zero.  In characteristic p > 0 the pair
     (p, delta) declares that the accompanying HN type already describes the
     bundle after ``delta`` Frobenius pullbacks, so that every graded piece is
     strongly semistable.  The stabilization exponent delta cannot be computed
-    from numerical data; it is part of the input.  ``p_delta`` is the
-    degree-scaling factor p**delta (1 in characteristic zero), computed once.
+    from numerical data; it is part of the input.
     """
 
     __slots__ = ()
@@ -138,7 +136,7 @@ class FieldContext(_checked_tuple("FieldContext", [("p", int), ("delta", int), (
         if p == 0:
             if delta != 0:
                 raise InvalidFieldContextError("delta must be 0 in characteristic zero")
-            return tuple.__new__(cls, (0, 0, 1))
+            return tuple.__new__(cls, (0, 0))
         if p >= PRIME_BOUND:
             raise InvalidFieldContextError(
                 f"characteristic must be below {PRIME_BOUND}, got {_shown(p)}"
@@ -153,13 +151,12 @@ class FieldContext(_checked_tuple("FieldContext", [("p", int), ("delta", int), (
             raise LimitExceededError(
                 f"p**delta must be below 10**{DIGIT_LIMIT}, got {p}**{_shown(delta)}"
             )
-        return tuple.__new__(cls, (p, delta, p**delta))
+        return tuple.__new__(cls, (p, delta))
 
-    def __repr__(self) -> str:
-        return f"FieldContext(p={self.p!r}, delta={self.delta!r})"
-
-    def __getnewargs__(self) -> tuple[int, int]:  # copies and pickles rebuild through __new__
-        return self.p, self.delta
+    @property
+    def p_delta(self) -> int:
+        """The degree-scaling factor p**delta (1 in characteristic zero)."""
+        return self.p**self.delta
 
     @property
     def is_char_p(self) -> bool:

@@ -12,19 +12,11 @@ of size s from the threshold piece t, which gives the closed form
     theta = s * mu_t + (degree of everything below piece t).
 
 On the quotient polygon (``HNType.polygon``) the tail below piece t is one
-vertex and piece t the edge above it, so the invariant is one bisection on
-the polygon's rank column plus one partial block, an integer numerator over
-a positive denominator (``_theta_value``, which the cones and the trichotomy
-read).  :func:`theta` adds the full breakdown and the ``Fraction``s;
-:func:`theta_oracle` recomputes the minimum over every composition by an
-exhaustive dynamic program on the ranks and slopes alone, kept deliberately
-independent so the two can cross-check each other.  :func:`enumerate_va`
-lists the rank/degree bookkeeping of every block of the induced filtration
-on the r-th exterior power (whose minimal slope is theta), from an iterative
-enumeration of bounded compositions that carries each block's rank and
-slope numerator.  Both read data built once per type (``_oracle_data``), and
-the oracle's row grows by doubling, so every r of a type costs the oracle
-O(units * rank) in all.  Nothing recurses on the number of pieces.
+vertex and piece t the edge above it, so the closed form is one bisection
+(``_theta_parts``, the one integer read the cones and the trichotomy share).
+:func:`theta_oracle` recomputes the minimum from the ranks and slopes alone,
+so that the two check each other, and :func:`enumerate_va` lists the blocks
+of the r-th exterior power, whose least slope is theta.
 """
 
 from __future__ import annotations
@@ -85,13 +77,9 @@ def _theta_parts(h: HNType, r: int) -> tuple[int, int, int]:
     ranks, degrees = h.polygon
     _require_quotient_rank(ranks[-1], r)
     k = bisect_left(ranks, r)
-    r_t = ranks[k] - ranks[k - 1]
-    return k, (r - ranks[k - 1]) * (degrees[k] - degrees[k - 1]) + degrees[k - 1] * r_t, r_t
-
-
-def _theta_value(h: HNType, r: int) -> tuple[int, int]:
-    """theta as ``(s * d_t + tail_degree * r_t, r_t)``: unreduced, r_t > 0."""
-    return _theta_parts(h, r)[1:]
+    tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
+    r_t = ranks[k] - tail_rank
+    return k, (r - tail_rank) * (degrees[k] - tail_degree) + tail_degree * r_t, r_t
 
 
 def threshold_index(h: HNType, r: int) -> int:

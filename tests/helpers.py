@@ -1,4 +1,5 @@
-"""Shared test helpers: independent reference oracles and random inputs."""
+"""Shared test helpers: independent reference oracles, random inputs and
+the hypothesis strategies for HN types."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from flagnef import HNType, make_hn_type
 
@@ -63,3 +66,27 @@ def random_hn_type(rng: random.Random, max_rank: int = 12, degree_bound: int = 3
         h = make_hn_type(merge_by_slope(raw))
         if 2 <= h.rank <= max_rank:
             return h
+
+
+@st.composite
+def hn_types(draw, max_pieces=4, piece_rank=3, degree_bound=9):
+    """Valid HN types from up to max_pieces random pieces, merged by slope."""
+    raw = draw(
+        st.lists(
+            st.tuples(st.integers(1, piece_rank), st.integers(-degree_bound, degree_bound)),
+            min_size=1,
+            max_size=max_pieces,
+        )
+    )
+    return make_hn_type(merge_by_slope(raw))
+
+
+@st.composite
+def hn_types_with_r(draw, max_pieces=4, piece_rank=3, degree_bound=9):
+    """An HN type of rank >= 2 (a lone rank-1 piece becomes rank 2) and a
+    quotient dimension 1 <= r <= rank - 1."""
+    h = draw(hn_types(max_pieces, piece_rank, degree_bound))
+    if h.rank < 2:
+        h = make_hn_type([(2, h.pieces[0].degree)])
+    r = draw(st.integers(1, h.rank - 1))
+    return h, r

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import flagnef.cli as cli
 from flagnef import CHAR_ZERO, FieldContext, ValidationError, make_hn_type
 from flagnef.cli import (
-    CHECK_LIMIT,
+    ORACLE_LIMIT,
     READ_LIMIT,
     build_parser,
     main,
@@ -402,16 +402,26 @@ class TestManyPieces:
 
 
 class TestCheckLimit:
+    """oracle-check --bundle refuses more than ORACLE_LIMIT oracle steps,
+    top * sum(min(r_i, top)) with top = --r or rank - 1, before any work."""
+
     HUGE = '{"pieces":[[100000000,0],[1,-1]]}'
+    WIDE = json.dumps({"pieces": [[1, 4000 - i] for i in range(4000)]})
+    SPLIT = '{"splitting":[3,1,1,0]}'  # pieces of rank 1, 2, 1
 
     def test_limit_is_above_the_corpus_sweep(self):
-        assert CHECK_LIMIT > 27031
+        # The corpus sweep is not limited, and its largest type takes 5 * 6
+        # steps.  The 1200-piece probe at r = 1 (1200 steps) is answered,
+        # and every bundle of rank - 1 > 50,000 is refused without --r, since
+        # it takes at least (rank - 1)**2 steps.
+        assert 5 * 6 < 1200 < ORACLE_LIMIT < 50_001**2
 
     def test_every_r_of_a_huge_type_is_refused_at_once(self):
         start = time.perf_counter()
         report, code, out, err = invoke(["oracle-check", "--bundle", self.HUGE])
         assert (report, code, out) == (None, 1, "")
-        assert err.startswith("flagnef: error[LimitExceeded]: oracle-check without --r would make")
+        assert err == (f"flagnef: error[LimitExceeded]: oracle-check would take more than "
+                       f"{ORACLE_LIMIT} oracle steps on this bundle; give a smaller --r\n")
         assert time.perf_counter() - start < 0.1
 
     def test_one_r_of_a_huge_type_is_answered(self):
@@ -419,13 +429,42 @@ class TestCheckLimit:
         assert code == 0
         assert report["result"] == {"types": 1, "checks": 1, "mismatches": 0, "ok": True}
 
-    def test_the_limit_counts_checks(self, monkeypatch):
-        monkeypatch.setattr(cli, "CHECK_LIMIT", 3)
-        report, code, _, _ = invoke(["oracle-check", "--bundle", '{"splitting":[3,1,1,0]}'])
+    def test_a_large_r_of_a_huge_type_is_refused_at_once(self):
+        start = time.perf_counter()
+        report, code, out, err = invoke(["oracle-check", "--bundle", self.HUGE, "--r", "100000"])
+        assert (report, code, out) == (None, 1, "")
+        assert err.startswith("flagnef: error[LimitExceeded]: oracle-check would take more than")
+        assert time.perf_counter() - start < 0.1
+
+    def test_many_small_pieces_are_refused_within_a_second(self):
+        start = time.perf_counter()
+        report, code, out, err = invoke(["oracle-check", "--bundle", self.WIDE])
+        assert (report, code, out) == (None, 1, "")
+        assert err.startswith("flagnef: error[LimitExceeded]: oracle-check would take more than")
+        assert time.perf_counter() - start < 1
+        report, code, _, _ = invoke(["oracle-check", "--bundle", self.WIDE, "--r", "1"])
+        assert (code, report["result"]["ok"]) == (0, True)
+
+    @pytest.mark.parametrize("r", ["0", "-100000", "100000001", "1" + "0" * 40])
+    def test_an_out_of_range_r_is_still_out_of_range(self, r):
+        report, code, out, err = invoke(["oracle-check", "--bundle", self.HUGE, "--r", r])
+        assert (report, code, out) == (None, 1, "")
+        assert err.startswith("flagnef: error[QuotientRankOutOfRange]: quotient dimension must")
+
+    def test_the_limit_counts_oracle_steps(self, monkeypatch):
+        monkeypatch.setattr(cli, "ORACLE_LIMIT", 12)  # every r: 3 * (1 + 2 + 1)
+        report, code, _, _ = invoke(["oracle-check", "--bundle", self.SPLIT])
         assert (code, report["result"]["checks"]) == (0, 3)
-        _, code, _, err = invoke(["oracle-check", "--bundle", '{"splitting":[4,3,1,1,0]}'])
+        monkeypatch.setattr(cli, "ORACLE_LIMIT", 11)
+        _, code, _, err = invoke(["oracle-check", "--bundle", self.SPLIT])
         assert code == 1
-        assert "more than 3 checks" in err
+        assert "more than 11 oracle steps" in err
+        monkeypatch.setattr(cli, "ORACLE_LIMIT", 3)  # r = 1: 1 * (1 + 1 + 1), each rank capped at r
+        report, code, _, _ = invoke(["oracle-check", "--bundle", self.SPLIT, "--r", "1"])
+        assert (code, report["result"]["checks"]) == (0, 1)
+        _, code, _, err = invoke(["oracle-check", "--bundle", self.SPLIT, "--r", "2"])
+        assert code == 1  # r = 2: 2 * (1 + 2 + 1)
+        assert "more than 3 oracle steps" in err
 
 
 class TestStrictIntegers:

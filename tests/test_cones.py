@@ -26,21 +26,9 @@ from flagnef import (
     pullback_to_flag,
     theta,
 )
-from helpers import merge_by_slope, random_hn_type
+from helpers import hn_types_with_r, random_hn_type
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=7)
-
-
-@st.composite
-def hn_types_with_r(draw):
-    raw = draw(
-        st.lists(st.tuples(st.integers(1, 3), st.integers(-9, 9)), min_size=1, max_size=4)
-    )
-    h = make_hn_type(merge_by_slope(raw))
-    if h.rank < 2:
-        h = make_hn_type([(2, h.pieces[0].degree)])
-    r = draw(st.integers(1, h.rank - 1))
-    return h, r
 
 
 def solve_membership(rays, coords):

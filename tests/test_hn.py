@@ -21,19 +21,7 @@ from flagnef import (
     make_hn_type,
 )
 from flagnef.hn import PRIME_BOUND, _is_prime
-from helpers import merge_by_slope
-
-
-@st.composite
-def hn_types(draw, max_pieces=4, piece_rank=3, degree_bound=9):
-    raw = draw(
-        st.lists(
-            st.tuples(st.integers(1, piece_rank), st.integers(-degree_bound, degree_bound)),
-            min_size=1,
-            max_size=max_pieces,
-        )
-    )
-    return make_hn_type(merge_by_slope(raw))
+from helpers import hn_types
 
 
 class TestMakeHNType:

@@ -17,21 +17,7 @@ from flagnef import (
     relative_anticanonical_class,
     theta,
 )
-from helpers import merge_by_slope
-
-
-@st.composite
-def hn_types_with_r(draw):
-    raw = draw(
-        st.lists(
-            st.tuples(st.integers(1, 3), st.integers(-9, 9)), min_size=1, max_size=4
-        )
-    )
-    h = make_hn_type(merge_by_slope(raw))
-    if h.rank < 2:
-        h = make_hn_type([(2, h.pieces[0].degree)])
-    r = draw(st.integers(1, h.rank - 1))
-    return h, r
+from helpers import hn_types_with_r
 
 
 class TestClassify:

@@ -21,24 +21,8 @@ from flagnef import (
     theta_oracle,
     threshold_index,
 )
-from flagnef.theta import _bounded_compositions, _theta_value
-from helpers import brute_blocks, brute_min_slope_sum, merge_by_slope
-
-
-@st.composite
-def hn_types_with_r(draw, max_pieces=4, piece_rank=3, degree_bound=9):
-    raw = draw(
-        st.lists(
-            st.tuples(st.integers(1, piece_rank), st.integers(-degree_bound, degree_bound)),
-            min_size=1,
-            max_size=max_pieces,
-        )
-    )
-    h = make_hn_type(merge_by_slope(raw))
-    if h.rank < 2:
-        h = make_hn_type([(h.pieces[0].rank + 1, h.pieces[0].degree)])
-    r = draw(st.integers(1, h.rank - 1))
-    return h, r
+from flagnef.theta import _bounded_compositions, _theta_parts
+from helpers import brute_blocks, brute_min_slope_sum, hn_types_with_r, merge_by_slope
 
 
 @st.composite
@@ -138,7 +122,7 @@ class TestIntegerRead:
         ctx = FieldContext(*field)
         for r in range(1, h.rank):
             value = theta(h, r).theta
-            num, den = _theta_value(h, r)
+            _, num, den = _theta_parts(h, r)
             assert den > 0
             assert Fraction(num, den) == value
             assert classify_tautological(h, r) is PositivityClass.of(value)
@@ -290,7 +274,7 @@ class TestOracle:
     def test_reads_only_the_ranks_and_slopes(self, monkeypatch):
         """No polygon, no closed form, and pieces in any slope order."""
         module = importlib.import_module("flagnef.theta")  # the package binds theta() here
-        for name in ("theta", "_theta_parts", "_theta_value"):
+        for name in ("theta", "_theta_parts"):
             monkeypatch.setattr(module, name, None)
         pieces = (HNPiece(1, -3), HNPiece(4, 8), HNPiece(2, 1), HNPiece(3, 9))
         h = SimpleNamespace(pieces=pieces, ranks=tuple(p.rank for p in pieces))

@@ -148,8 +148,9 @@ class TestTupleEquality:
             HNPiece._make((0, 1))
         with pytest.raises(InvalidFlagTypeError):
             FlagType([1, 2])._replace(quotient_dims=(2, 1))
-        with pytest.raises(TypeError):  # its fields are not its arguments: p_delta is derived
-            FieldContext(3, 2)._replace(delta=5)
+        assert FieldContext(3, 2)._replace(delta=5) == FieldContext(3, 5)
+        with pytest.raises(InvalidFieldContextError):
+            FieldContext(3, 2)._replace(delta=-1)
 
     def test_field_context_stores_p_delta(self):
         ctx = FieldContext(3, 4)
