@@ -28,13 +28,10 @@ from .corpus import iter_hn_types
 from .errors import FlagnefError, LimitExceededError, ParseError, ValidationError
 from .hn import CHAR_ZERO, DIGIT_LIMIT, FieldContext, HNType, hn_from_splitting_type, make_hn_type
 from .positivity import PositivityClass
-from .theta import enumerate_va, theta, theta_oracle
+from .theta import _oracle_steps, enumerate_va, theta, theta_oracle
 
 if TYPE_CHECKING:
     import argparse
-
-# A Report is a plain JSON-serializable dict with keys command/input/result.
-Report = dict
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -42,7 +39,8 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _CORPUS = {"max_rank": 6, "max_abs_degree": 4}
 
 READ_LIMIT = 2**20  # bytes of one @file argument
-ORACLE_LIMIT = 4_000_000  # oracle steps of one oracle-check --bundle: top * sum(min(r_i, top))
+ORACLE_LIMIT = 4_000_000  # theta._oracle_steps of one oracle-check --bundle
+FLAG_LIMIT = 2000  # quotient dimensions of one --flag: the flag cone has nu rays of nu + 1 entries
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
@@ -154,12 +152,6 @@ def _parse_bundle_data(data: Any) -> tuple[HNType, FieldContext, dict]:
     return h, ctx, echo
 
 
-def parse_bundle_spec(text: str) -> tuple[HNType, FieldContext]:
-    """Parse a JSON bundle spec into a validated (HNType, FieldContext) pair."""
-    h, ctx, _ = _parse_bundle_data(_load_json(text, "bundle spec"))
-    return h, ctx
-
-
 # Option parsers: raw option value -> (attributes for compute, "input" echo).
 def _bundle(text: str) -> tuple[dict, dict]:
     h, ctx, echo = _parse_bundle_data(_load_json(_read_arg(text), "bundle spec"))
@@ -167,8 +159,11 @@ def _bundle(text: str) -> tuple[dict, dict]:
 
 
 def _flag(text: str) -> tuple[dict, list]:
+    parts = text.split(",")
+    if len(parts) > FLAG_LIMIT:
+        raise LimitExceededError(f"--flag has more than {FLAG_LIMIT} quotient dimensions")
     try:
-        dims = tuple(_int_arg(part) for part in text.split(","))
+        dims = tuple(_int_arg(part) for part in parts)
     except ParseError as exc:
         raise ParseError(f"--flag expects comma-separated integers, got {text!r}") from exc
     fl = _validated(FlagType, dims)
@@ -341,7 +336,7 @@ def _oracle_check(a: SimpleNamespace) -> dict:
         a.input["corpus"] = dict(_CORPUS)
     else:
         top = a.h.rank - 1 if a.r is None else a.r  # the oracle's row runs to top
-        if 0 < top < a.h.rank and top * sum(min(c, top) for c in a.h.ranks) > ORACLE_LIMIT:
+        if 0 < top < a.h.rank and _oracle_steps(a.h, top) > ORACLE_LIMIT:
             raise LimitExceededError(f"oracle-check would take more than {ORACLE_LIMIT} oracle "
                                      "steps on this bundle; give a smaller --r")
         types = [a.h]
@@ -443,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def render_report(report: Report, mode: str = "text") -> str:
+def render_report(report: dict, mode: str = "text") -> str:
     """Render a report.  JSON mode is a compact single document whose bytes
     are stable across runs; text mode is aligned human-readable columns."""
     if mode == "json":
@@ -457,10 +452,11 @@ def render_report(report: Report, mode: str = "text") -> str:
 
 
 def run_command(argv: Sequence[str], stdout: TextIO | None = None,
-                stderr: TextIO | None = None) -> tuple[Report | None, int]:
+                stderr: TextIO | None = None) -> tuple[dict | None, int]:
     """Execute one CLI invocation; writes the rendered report, or the help
     text, to stdout and diagnostics to stderr, and returns (report, exit
-    code).  The report is None after --help and after an error."""
+    code).  The report is a JSON-serializable dict with keys command, input
+    and result, or None after --help and after an error."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:

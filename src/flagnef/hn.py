@@ -220,18 +220,6 @@ class HNType:
         return len(self.pieces)
 
     @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(p.rank for p in self.pieces)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(p.degree for p in self.pieces)
-
-    @property
-    def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(p.slope for p in self.pieces)
-
-    @property
     def rank(self) -> int:
         return self.polygon.ranks[-1]
 
@@ -262,7 +250,8 @@ class HNType:
         return HNType(tuple(HNPiece(p.rank, m * p.degree) for p in self.pieces))
 
     def frobenius_pullback(self, ctx: FieldContext) -> "HNType":
-        """Scale degrees by p**delta.
+        """Pull back along delta Frobenius steps: the degree-p**delta cover
+        pullback.
 
         Only meaningful in positive characteristic, under the FieldContext
         contract that the pieces are strongly semistable (so the filtration
@@ -270,8 +259,7 @@ class HNType:
         """
         if not ctx.is_char_p:
             raise CharZeroContextError("Frobenius pullback needs positive characteristic")
-        factor = ctx.p_delta
-        return HNType(tuple(HNPiece(p.rank, factor * p.degree) for p in self.pieces))
+        return self.cover_pullback(ctx.p_delta)
 
 
 def make_hn_type(pieces: Iterable[tuple[int, int]]) -> HNType:

@@ -15,8 +15,9 @@ On the quotient polygon (``HNType.polygon``) the tail below piece t is one
 vertex and piece t the edge above it, so the closed form is one bisection
 (``_theta_parts``, the one integer read the cones and the trichotomy share).
 :func:`theta_oracle` recomputes the minimum from the ranks and slopes alone,
-so that the two check each other, and :func:`enumerate_va` lists the blocks
-of the r-th exterior power, whose least slope is theta.
+so that the two check each other (``_oracle_steps`` bounds its cost, for the
+CLI's limit), and :func:`enumerate_va` lists the blocks of the r-th exterior
+power, whose least slope is theta.
 """
 
 from __future__ import annotations
@@ -195,6 +196,13 @@ def _oracle_row(ranks: tuple[int, ...], weights: tuple[int, ...], top: int) -> l
             if seen + a <= top:  # first reached with a units of this piece
                 best.append(prev[seen] + aw)
     return best
+
+
+def _oracle_steps(h: HNType, top: int) -> int:
+    """An upper bound on the inner steps of :func:`_oracle_row` up to
+    ``top``: each piece relaxes at most ``top`` entries for each of its
+    min(r_i, top) unit counts."""
+    return top * sum(min(p.rank, top) for p in h.pieces)
 
 
 def theta_oracle(h: HNType, r: int) -> Fraction:

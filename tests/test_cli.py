@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 import flagnef.cli as cli
 from flagnef import CHAR_ZERO, FieldContext, ValidationError, make_hn_type
 from flagnef.cli import (
+    FLAG_LIMIT,
     ORACLE_LIMIT,
     READ_LIMIT,
     build_parser,
     main,
-    parse_bundle_spec,
     render_report,
     run_command,
 )
@@ -34,31 +34,37 @@ def invoke(argv):
     return report, code, out.getvalue(), err.getvalue()
 
 
+def parse_bundle(text):
+    """The (type, context) that the --bundle parser of run_command reads."""
+    attrs, _ = cli._bundle(text)
+    return attrs["h"], attrs["ctx"]
+
+
 class TestParseBundleSpec:
     def test_pieces(self):
-        h, ctx = parse_bundle_spec('{"pieces":[[1,1],[2,-1]]}')
+        h, ctx = parse_bundle('{"pieces":[[1,1],[2,-1]]}')
         assert h == make_hn_type([(1, 1), (2, -1)])
         assert ctx == CHAR_ZERO
 
     def test_splitting(self):
-        h, _ = parse_bundle_spec('{"splitting":[3,1,1,0]}')
+        h, _ = parse_bundle('{"splitting":[3,1,1,0]}')
         assert h == make_hn_type([(1, 3), (2, 2), (1, 0)])
 
     def test_char_p_field(self):
-        _, ctx = parse_bundle_spec('{"pieces":[[2,0]],"field":{"char":3,"frobenius_steps":2}}')
+        _, ctx = parse_bundle('{"pieces":[[2,0]],"field":{"char":3,"frobenius_steps":2}}')
         assert ctx == FieldContext(3, 2)
 
     def test_semantic_violation_wraps_core_error(self):
         from flagnef import ValidationError
 
         with pytest.raises(ValidationError, match="NonDecreasingSlopes"):
-            parse_bundle_spec('{"pieces":[[1,0],[1,0]]}')
+            parse_bundle('{"pieces":[[1,0],[1,0]]}')
 
     def test_malformed_json_reports_position(self):
         from flagnef import ParseError
 
         with pytest.raises(ParseError, match="line 1 column"):
-            parse_bundle_spec('{"pieces":[[1,1],')
+            parse_bundle('{"pieces":[[1,1],')
 
     def test_structural_problems(self):
         from flagnef import ParseError
@@ -74,13 +80,13 @@ class TestParseBundleSpec:
             '{"pieces":[[2,0]],"field":{"char":0,"frobenius_steps":1}}',
         ):
             with pytest.raises(ParseError):
-                parse_bundle_spec(bad)
+                parse_bundle(bad)
 
     def test_composite_characteristic_is_a_validation_error(self):
         from flagnef import ValidationError
 
         with pytest.raises(ValidationError, match="InvalidFieldContext"):
-            parse_bundle_spec('{"pieces":[[2,0]],"field":{"char":4}}')
+            parse_bundle('{"pieces":[[2,0]],"field":{"char":4}}')
 
 
 class TestGoldenOutputs:
@@ -467,6 +473,40 @@ class TestCheckLimit:
         assert "more than 3 oracle steps" in err
 
 
+class TestFlagLimit:
+    """--flag takes at most FLAG_LIMIT quotient dimensions, refused before
+    the flag type and its rays are built: the flag cone has nu rays of
+    nu + 1 entries."""
+
+    @staticmethod
+    def argvs(nu):
+        """``cone flag`` and ``member flag`` on a rank-(nu + 1) bundle with
+        the flag 1..nu."""
+        bundle = json.dumps({"pieces": [[nu + 1, 0]]})
+        flag = ",".join(map(str, range(1, nu + 1)))
+        return {"cone": ["cone", "flag", "--bundle", bundle, "--flag", flag],
+                "member": ["member", "flag", "--bundle", bundle, "--flag", flag,
+                           "--class", json.dumps({"x": [1] * nu, "y": 0})]}
+
+    @pytest.mark.parametrize("command", ["cone", "member"])
+    def test_a_long_flag_is_refused_at_once(self, command):
+        argv = self.argvs(4000)[command] + ["--json"]
+        start = time.perf_counter()
+        report, code, out, err = invoke(argv)
+        assert time.perf_counter() - start < 0.5
+        assert (report, code, out) == (None, 1, "")
+        assert err == ("flagnef: error[LimitExceeded]: --flag has more than 2000 "
+                       "quotient dimensions\n")
+
+    def test_the_limit_is_the_longest_flag_answered(self):
+        report, code, _, _ = invoke(self.argvs(FLAG_LIMIT)["member"])
+        assert (code, report["result"]) == (0, {"nef": True})
+        for argv in self.argvs(FLAG_LIMIT + 1).values():
+            report, code, _, err = invoke(argv)
+            assert (report, code) == (None, 1)
+            assert err.startswith("flagnef: error[LimitExceeded]: --flag has more than")
+
+
 class TestStrictIntegers:
     BUNDLE = '{"pieces":[[1,2],[1,1],[1,0]]}'
 
@@ -589,7 +629,7 @@ class TestDigitLimit:
         bundle = field_bundle(2, delta)
         # first the parse alone, so that a tree building p**delta fails here
         with pytest.raises(ValidationError, match="LimitExceeded"):
-            parse_bundle_spec(bundle)
+            parse_bundle(bundle)
         start = time.perf_counter()
         _, code, out, err = invoke(["cone", "gr", "--bundle", bundle, "--r", "1"])
         assert (code, out) == (1, "")

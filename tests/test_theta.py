@@ -21,7 +21,7 @@ from flagnef import (
     theta_oracle,
     threshold_index,
 )
-from flagnef.theta import _bounded_compositions, _theta_parts
+from flagnef.theta import _bounded_compositions, _oracle_steps, _theta_parts
 from helpers import brute_blocks, brute_min_slope_sum, hn_types_with_r, merge_by_slope
 
 
@@ -98,12 +98,15 @@ class TestTheta:
         pieces top-down with Fraction slopes."""
         h, r = h_r
         bd = theta(h, r)
-        t = max(t for t in range(1, len(h) + 1) if sum(h.ranks[t - 1:]) >= r)
+        ranks = [p.rank for p in h.pieces]
+        t = max(t for t in range(1, len(h) + 1) if sum(ranks[t - 1:]) >= r)
         assert bd.t == threshold_index(h, r) == t
-        assert (bd.tail_rank, bd.tail_degree) == (sum(h.ranks[t:]), sum(h.degrees[t:]))
+        tail = h.pieces[t:]
+        assert (bd.tail_rank, bd.tail_degree) == (sum(p.rank for p in tail),
+                                                  sum(p.degree for p in tail))
         assert bd.s == r - bd.tail_rank
-        assert bd.mu_t == h.slopes[t - 1]
-        assert bd.theta == bd.s * h.slopes[t - 1] + bd.tail_degree
+        assert bd.mu_t == h.pieces[t - 1].slope
+        assert bd.theta == bd.s * h.pieces[t - 1].slope + bd.tail_degree
 
     @given(hn_types_with_r())
     def test_partial_block_is_within_the_threshold_piece(self, h_r):
@@ -164,7 +167,7 @@ class TestEnumerateVa:
             assert b.degree == b.rank * b.slope_sum
             assert b.rank >= 1
             assert sum(b.composition) == r
-            assert all(0 <= ai <= cap for ai, cap in zip(b.composition, h.ranks))
+            assert all(0 <= ai <= p.rank for ai, p in zip(b.composition, h.pieces))
 
     @given(hn_types_with_r())
     def test_rank_and_degree_sums(self, h_r):
@@ -277,7 +280,7 @@ class TestOracle:
         for name in ("theta", "_theta_parts"):
             monkeypatch.setattr(module, name, None)
         pieces = (HNPiece(1, -3), HNPiece(4, 8), HNPiece(2, 1), HNPiece(3, 9))
-        h = SimpleNamespace(pieces=pieces, ranks=tuple(p.rank for p in pieces))
+        h = SimpleNamespace(pieces=pieces)
         for r in range(1, 10):
             assert theta_oracle(h, r) == brute_min_slope_sum(h, r)
 
@@ -340,6 +343,18 @@ class TestOracleRow:
             fresh = make_hn_type([(p.rank, p.degree) for p in x.pieces])
             assert theta_oracle(x, r) == brute_min_slope_sum(fresh, r)
             assert [tuple(b) for b in enumerate_va(x, r)] == brute_blocks(fresh, r)
+
+
+class TestOracleSteps:
+    """The bound on the inner steps of one row build, top * sum(min(r_i, top)),
+    which oracle-check compares with its limit."""
+
+    def test_rank_1_pieces(self):
+        assert _oracle_steps(make_hn_type([(1, 1200 - i) for i in range(1200)]), 1) == 1200
+        assert _oracle_steps(make_hn_type([(1, 4000 - i) for i in range(4000)]), 3999) == 3999 * 4000
+
+    def test_each_rank_is_capped_at_top(self):
+        assert _oracle_steps(make_hn_type([[10**8, 0], [1, -1]]), 1) == 2
 
 
 class TestTransformIdentities:
