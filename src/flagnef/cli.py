@@ -28,7 +28,7 @@ from .corpus import iter_hn_types
 from .errors import FlagnefError, LimitExceededError, ParseError, ValidationError
 from .hn import CHAR_ZERO, DIGIT_LIMIT, FieldContext, HNType, hn_from_splitting_type, make_hn_type
 from .positivity import PositivityClass
-from .theta import _oracle_steps, enumerate_va, theta, theta_oracle
+from .theta import _oracle_steps, _oracle_top, enumerate_va, theta, theta_oracle
 
 if TYPE_CHECKING:
     import argparse
@@ -39,7 +39,7 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _CORPUS = {"max_rank": 6, "max_abs_degree": 4}
 
 READ_LIMIT = 2**20  # bytes of one @file argument
-ORACLE_LIMIT = 4_000_000  # theta._oracle_steps of one oracle-check --bundle
+ORACLE_LIMIT = 4_000_000  # theta._oracle_steps of the largest row an oracle-check --bundle builds
 FLAG_LIMIT = 2000  # quotient dimensions of one --flag: the flag cone has nu rays of nu + 1 entries
 
 
@@ -335,8 +335,8 @@ def _oracle_check(a: SimpleNamespace) -> dict:
         types: Any = iter_hn_types(**_CORPUS)
         a.input["corpus"] = dict(_CORPUS)
     else:
-        top = a.h.rank - 1 if a.r is None else a.r  # the oracle's row runs to top
-        if 0 < top < a.h.rank and _oracle_steps(a.h, top) > ORACLE_LIMIT:
+        top = a.h.rank - 1 if a.r is None else a.r  # the oracle's largest row runs to _oracle_top
+        if 0 < top < a.h.rank and _oracle_steps(a.h, _oracle_top(a.h, top)) > ORACLE_LIMIT:
             raise LimitExceededError(f"oracle-check would take more than {ORACLE_LIMIT} oracle "
                                      "steps on this bundle; give a smaller --r")
         types = [a.h]

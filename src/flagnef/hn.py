@@ -12,8 +12,9 @@ invariant and both nef cones read in integer arithmetic.
 
 Values do not change once built, except a type's private ``_oracle`` slot,
 which :mod:`flagnef.theta` fills on first use; equality, hashing, ``repr``
-and pickling never read it.  A fill is idempotent and rebinds the slot to a
-new tuple instead of mutating one, so every operation, a pure function, is
+and pickling never read it.  A fill is idempotent: it rebinds the slot to a
+new tuple instead of mutating one, or adds to the slot's slope table an
+entry whose value its key fixes, so every operation, a pure function, is
 safe for unrestricted concurrent use.  Pieces and field contexts are named
 tuples whose fields are exactly their constructors' checked arguments; they
 also compare equal to plain tuples of those fields.

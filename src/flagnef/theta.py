@@ -15,9 +15,10 @@ On the quotient polygon (``HNType.polygon``) the tail below piece t is one
 vertex and piece t the edge above it, so the closed form is one bisection
 (``_theta_parts``, the one integer read the cones and the trichotomy share).
 :func:`theta_oracle` recomputes the minimum from the ranks and slopes alone,
-so that the two check each other (``_oracle_steps`` bounds its cost, for the
-CLI's limit), and :func:`enumerate_va` lists the blocks of the r-th exterior
-power, whose least slope is theta.
+so that the two check each other (``_oracle_top`` names the row a call
+builds and ``_oracle_steps`` bounds its cost, for the CLI's limit), and
+:func:`enumerate_va` lists the blocks of the r-th exterior power, whose
+least slope is theta.
 """
 
 from __future__ import annotations
@@ -93,15 +94,8 @@ def theta(h: HNType, r: int) -> ThetaBreakdown:
     k, num, r_t = _theta_parts(h, r)
     ranks, degrees = h.polygon
     tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
-    return ThetaBreakdown(
-        r=r,
-        t=len(ranks) - k,
-        tail_rank=tail_rank,
-        tail_degree=tail_degree,
-        s=r - tail_rank,
-        mu_t=Fraction(degrees[k] - tail_degree, r_t),
-        theta=Fraction(num, r_t),
-    )
+    return ThetaBreakdown(r, len(ranks) - k, tail_rank, tail_degree, r - tail_rank,
+                          Fraction(degrees[k] - tail_degree, r_t), Fraction(num, r_t))
 
 
 def _bounded_compositions(caps: tuple[int, ...], weights: tuple[int, ...],
@@ -146,15 +140,18 @@ def _bounded_compositions(caps: tuple[int, ...], weights: tuple[int, ...],
         rest -= 1
 
 
-def _oracle_data(h: HNType) -> tuple[tuple[int, ...], tuple[int, ...], int, list[int]]:
-    """``(ranks, weights, den, best)`` of h, kept in its ``_oracle`` slot:
-    slope_i = weights[i] / den, so the hot loops stay in integers, and
-    ``best`` is the oracle's row (``[0]`` until :func:`theta_oracle` grows it)."""
+def _oracle_data(h: HNType) -> tuple[tuple[int, ...], tuple[int, ...], int, list[int],
+                                      dict[int, Fraction]]:
+    """``(ranks, weights, den, best, slopes)`` of h, kept in its ``_oracle``
+    slot: slope_i = weights[i] / den, so the hot loops stay in integers,
+    ``best`` is the oracle's row (``[0]`` until :func:`theta_oracle` grows
+    it), and ``slopes`` maps each slope numerator read so far to its
+    ``Fraction(num, den)``, so each slope of a type is built once."""
     data = getattr(h, "_oracle", None)
     if data is None:
         ranks = tuple(p.rank for p in h.pieces)
         den = math.lcm(*ranks)
-        data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0]
+        data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0], {}
         object.__setattr__(h, "_oracle", data)
     return data
 
@@ -162,18 +159,18 @@ def _oracle_data(h: HNType) -> tuple[tuple[int, ...], tuple[int, ...], int, list
 def enumerate_va(h: HNType, r: int) -> list[VaBundle]:
     """All exterior-power blocks for quotient dimension r, one per
     composition, in lexicographic order of the composition."""
-    ranks, weights, den, _ = _oracle_data(h)
+    ranks, weights, den, _, slopes = _oracle_data(h)
     _require_quotient_rank(sum(ranks), r)
-    slopes: dict[int, Fraction] = {}  # blocks share few slope sums: one Fraction each
+    new = tuple.__new__  # VaBundle.__new__ only packs its fields, in Python
     out: list[VaBundle] = []
     for a, rank, num in _bounded_compositions(ranks, weights, r):
         total = rank * num
         if total % den:
             raise AssertionError("exterior-power degree must be an integer")
-        slope = slopes.get(num)
+        slope = slopes.get(num)  # blocks share few slope sums
         if slope is None:
             slopes[num] = slope = Fraction(num, den)
-        out.append(VaBundle(a, rank, total // den, slope))
+        out.append(new(VaBundle, (a, rank, total // den, slope)))
     return out
 
 
@@ -205,19 +202,42 @@ def _oracle_steps(h: HNType, top: int) -> int:
     return top * sum(min(p.rank, top) for p in h.pieces)
 
 
+# A row of at most this many steps is built whole.  Measured on CPython
+# 3.11 (2-vCPU VM), such a row takes at most about 40 us, most of it a fixed
+# cost per piece: for 16 rank-1 pieces the whole row (240 steps) took 37 us,
+# the row to r = 1 23 us and to r = 2 32 us, so a type asked for a second r
+# already gains.
+_WHOLE_ROW_STEPS = 256
+
+
+def _oracle_top(h: HNType, r: int, top: int = 0) -> int:
+    """Where :func:`theta_oracle` ends the row it builds for r, when the
+    type's row ends at top < r: at rank - 1 when that whole row takes at
+    most ``_WHOLE_ROW_STEPS`` steps or twice the row to r, and otherwise at
+    ``min(rank - 1, max(r, 2 * top))``, so that a large type's row doubles
+    and a first call builds only to r."""
+    last = sum(p.rank for p in h.pieces) - 1
+    if _oracle_steps(h, last) <= max(_WHOLE_ROW_STEPS, 2 * _oracle_steps(h, r)):
+        return last
+    return min(last, max(r, 2 * top))
+
+
 def theta_oracle(h: HNType, r: int) -> Fraction:
     """Exhaustive minimum of slope sums over every composition, read from
-    the type's oracle row.  A call past the row's end rebuilds it up to
-    ``min(rank - 1, max(r, 2 * top))``: a first call builds only up to r,
-    and every r of a type together take O(units * rank) steps.  It reads
-    only the ranks and slopes, not the polygon, and does not assume the
-    slope order, so it shares no logic with the closed form in :func:`theta`;
-    the two are meant to check each other."""
-    ranks, weights, den, best = _oracle_data(h)
-    n = sum(ranks)
-    _require_quotient_rank(n, r)
-    top = len(best) - 1
-    if r > top:
-        best = _oracle_row(ranks, weights, min(n - 1, max(r, 2 * top)))
-        object.__setattr__(h, "_oracle", (ranks, weights, den, best))  # rebind, never mutate
-    return Fraction(best[r], den)
+    the type's oracle row and slope table.  A call past the row's end
+    rebuilds the row to :func:`_oracle_top`: a small type builds its whole
+    row once, a large one doubles it, and every r of a type together take
+    O(units * rank) steps.  It reads only the ranks and slopes, not the
+    polygon, and does not assume the slope order, so it shares no logic
+    with the closed form in :func:`theta`; the two are meant to check each
+    other."""
+    ranks, weights, den, best, slopes = _oracle_data(h)
+    _require_quotient_rank(sum(ranks), r)
+    if r >= len(best):
+        best = _oracle_row(ranks, weights, _oracle_top(h, r, len(best) - 1))
+        object.__setattr__(h, "_oracle", (ranks, weights, den, best, slopes))  # the table is shared
+    num = best[r]
+    value = slopes.get(num)
+    if value is None:
+        slopes[num] = value = Fraction(num, den)
+    return value

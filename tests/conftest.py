@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from flagnef.corpus import iter_hn_types
@@ -13,3 +15,17 @@ def corpus():
 def corpus_pairs(corpus):
     """All (type, quotient dimension) pairs over the corpus."""
     return tuple((h, r) for h in corpus for r in range(1, h.rank))
+
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """The ``top`` of every oracle row built while the test runs."""
+    module = importlib.import_module("flagnef.theta")
+    build, tops = module._oracle_row, []
+
+    def counting(ranks, weights, top):
+        tops.append(top)
+        return build(ranks, weights, top)
+
+    monkeypatch.setattr(module, "_oracle_row", counting)
+    return tops

@@ -22,6 +22,7 @@ from flagnef.cli import (
     render_report,
     run_command,
 )
+from flagnef.theta import _oracle_steps
 from helpers import merge_by_slope
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -457,6 +458,36 @@ class TestCheckLimit:
         assert (report, code, out) == (None, 1, "")
         assert err.startswith("flagnef: error[QuotientRankOutOfRange]: quotient dimension must")
 
+    def test_an_accepted_r_builds_no_row_past_the_limit(self, monkeypatch, row_builds):
+        """A small enough type builds its whole row, up to twice the steps
+        of the row to r, so the limit bounds the row actually built.  With
+        the limit at 600 steps, r = 22 and 23 (rows to r of 22 * 23 and
+        23 * 24 steps) are refused: the row built is the whole 30 * 31."""
+        monkeypatch.setattr(cli, "ORACLE_LIMIT", 600)
+        bundle = '{"pieces":[[30,1],[1,0]]}'
+        h, _ = parse_bundle(bundle)
+        accepted = []
+        for r in range(1, 31):
+            row_builds.clear()
+            _, code, _, err = invoke(["oracle-check", "--bundle", bundle, "--r", str(r)])
+            if code == 0:
+                accepted.append(r)
+                assert row_builds and max(_oracle_steps(h, top) for top in row_builds) <= 600
+            else:
+                assert (code, row_builds) == (1, [])
+                assert "more than 600 oracle steps" in err
+        assert accepted == list(range(1, 22))
+
+    def test_the_limit_bounds_the_whole_row_at_full_size(self):
+        """[[2500, 1], [1, 0]] at r = 1999: the row to r takes 1999 * 2000
+        steps, within the limit, but the whole row, 2500 * 2501, is built."""
+        start = time.perf_counter()
+        report, code, out, err = invoke(["oracle-check", "--bundle", '{"pieces":[[2500,1],[1,0]]}',
+                                         "--r", "1999"])
+        assert (report, code, out) == (None, 1, "")
+        assert err.startswith("flagnef: error[LimitExceeded]: oracle-check would take more than")
+        assert time.perf_counter() - start < 0.1
+
     def test_the_limit_counts_oracle_steps(self, monkeypatch):
         monkeypatch.setattr(cli, "ORACLE_LIMIT", 12)  # every r: 3 * (1 + 2 + 1)
         report, code, _, _ = invoke(["oracle-check", "--bundle", self.SPLIT])
@@ -465,10 +496,13 @@ class TestCheckLimit:
         _, code, _, err = invoke(["oracle-check", "--bundle", self.SPLIT])
         assert code == 1
         assert "more than 11 oracle steps" in err
+        # SPLIT's whole row is cheap, so every r builds it; on pieces of rank
+        # 1, 20, 1 (a whole row of 21 * 22 steps) a single r builds the row to r
+        wide = '{"pieces":[[1,1],[20,0],[1,-1]]}'
         monkeypatch.setattr(cli, "ORACLE_LIMIT", 3)  # r = 1: 1 * (1 + 1 + 1), each rank capped at r
-        report, code, _, _ = invoke(["oracle-check", "--bundle", self.SPLIT, "--r", "1"])
+        report, code, _, _ = invoke(["oracle-check", "--bundle", wide, "--r", "1"])
         assert (code, report["result"]["checks"]) == (0, 1)
-        _, code, _, err = invoke(["oracle-check", "--bundle", self.SPLIT, "--r", "2"])
+        _, code, _, err = invoke(["oracle-check", "--bundle", wide, "--r", "2"])
         assert code == 1  # r = 2: 2 * (1 + 2 + 1)
         assert "more than 3 oracle steps" in err
 

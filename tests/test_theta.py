@@ -1,6 +1,9 @@
 import importlib
 import itertools
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -21,8 +24,15 @@ from flagnef import (
     theta_oracle,
     threshold_index,
 )
-from flagnef.theta import _bounded_compositions, _oracle_steps, _theta_parts
-from helpers import brute_blocks, brute_min_slope_sum, hn_types_with_r, merge_by_slope
+from flagnef.corpus import iter_hn_types
+from flagnef.theta import _bounded_compositions, _oracle_steps, _oracle_top, _theta_parts
+from helpers import (
+    brute_blocks,
+    brute_min_slope_sum,
+    hn_types_with_r,
+    merge_by_slope,
+    random_hn_type,
+)
 
 
 @st.composite
@@ -113,6 +123,21 @@ class TestTheta:
         h, r = h_r
         bd = theta(h, r)
         assert 1 <= bd.s <= h.pieces[bd.t - 1].rank
+
+    def test_reads_neither_the_oracle_row_nor_its_slope_table(self, monkeypatch):
+        """theta builds its own Fractions, so a wrong oracle entry cannot
+        make the closed form agree with the oracle."""
+        module = importlib.import_module("flagnef.theta")
+
+        def refuse(*args):
+            raise AssertionError("theta read the oracle's data")
+
+        for name in ("_oracle_data", "_oracle_row"):
+            monkeypatch.setattr(module, name, refuse)
+        h = make_hn_type([(1, 3), (2, 1), (1, 0)])
+        assert [theta(h, r).theta for r in range(1, 4)] == [0, Fraction(1, 2), 1]
+        with pytest.raises(AssertionError, match="oracle's data"):
+            theta_oracle(h, 1)
 
 
 class TestIntegerRead:
@@ -294,20 +319,6 @@ class TestOracle:
             assert (b.degree == 0) == (b.slope_sum == 0)
 
 
-@pytest.fixture
-def row_builds(monkeypatch):
-    """The ``top`` of every oracle row built while the test runs."""
-    module = importlib.import_module("flagnef.theta")
-    build, tops = module._oracle_row, []
-
-    def counting(ranks, weights, top):
-        tops.append(top)
-        return build(ranks, weights, top)
-
-    monkeypatch.setattr(module, "_oracle_row", counting)
-    return tops
-
-
 class TestOracleRow:
     def test_every_r_of_a_type_rebuilds_the_row_log_many_times(self, row_builds):
         """Over r = 1..n-1 the row doubles instead of being rebuilt per r, so
@@ -318,6 +329,57 @@ class TestOracleRow:
             assert theta_oracle(h, r) == theta(h, r).theta
         assert len(row_builds) <= math.ceil(math.log2(n)) + 1
         assert row_builds[0] == 1 and row_builds[-1] == n - 1
+
+    def test_every_small_type_builds_its_row_once(self, row_builds):
+        """Over the corpus at every r, ascending, the first call on a type
+        builds its whole row, to rank - 1, and no later call rebuilds it."""
+        types = 0
+        for h in iter_hn_types(6, 4):  # fresh types, their slots unfilled
+            for r in range(1, h.rank):
+                assert theta_oracle(h, r) == theta(h, r).theta
+            if h.rank > 1:
+                types += 1
+                assert row_builds[-1] == h.rank - 1
+        assert len(row_builds) == types > 6000
+
+    def test_threads_sharing_fresh_types(self):
+        """Four threads share each fresh type and ask for every r, two
+        ascending and two descending: every answer matches the brute force,
+        whichever row or slope entry another thread put in the slot first."""
+        rng = random.Random(12)
+        pieces = [[tuple(p) for p in random_hn_type(rng, max_rank=9).pieces] for _ in range(40)]
+        expected = []
+        for ps in pieces:
+            h = make_hn_type(ps)
+            expected.append([(brute_min_slope_sum(h, r), brute_blocks(h, r)) for r in range(1, h.rank)])
+        types = [make_hn_type(ps) for ps in pieces]
+        start, errors = threading.Barrier(4, timeout=30), []
+
+        def work(descending):
+            try:
+                for h, want in zip(types, expected):
+                    start.wait()  # all four race on the unfilled slot
+                    rs = range(h.rank - 1, 0, -1) if descending else range(1, h.rank)
+                    for r in rs:
+                        got = theta_oracle(h, r), [tuple(b) for b in enumerate_va(h, r)]
+                        if got != want[r - 1]:
+                            errors.append((h, r, got))
+            except Exception as exc:  # reported below, in the test's thread
+                errors.append(exc)
+                start.abort()
+
+        threads = [threading.Thread(target=work, args=(i % 2,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
     def test_a_rank_10_8_piece_sizes_no_table(self, row_builds):
         h = make_hn_type([[10**8, 0], [1, -1]])
@@ -355,6 +417,16 @@ class TestOracleSteps:
 
     def test_each_rank_is_capped_at_top(self):
         assert _oracle_steps(make_hn_type([[10**8, 0], [1, -1]]), 1) == 2
+
+    def test_a_row_is_built_whole_when_that_is_cheap(self):
+        """_oracle_top, the end of the row a call builds: rank - 1 when the
+        whole row takes at most 256 steps or twice the row to r, else r or
+        twice the old end, whichever is larger."""
+        h = make_hn_type([(17, 1)])  # the whole row takes 16 * 16 = 256 steps
+        assert [_oracle_top(h, r) for r in (1, 8, 16)] == [16, 16, 16]
+        h = make_hn_type([(18, 1)])  # 17 * 17 = 289 steps, the row to r r * r
+        assert [_oracle_top(h, r) for r in (1, 12, 13)] == [1, 12, 17]
+        assert [_oracle_top(h, r, top) for r, top in ((5, 4), (5, 2), (12, 10))] == [8, 5, 17]
 
 
 class TestTransformIdentities:
