@@ -213,13 +213,11 @@ _WHOLE_ROW_STEPS = 256
 def _oracle_top(h: HNType, r: int, top: int = 0) -> int:
     """Where :func:`theta_oracle` ends the row it builds for r, when the
     type's row ends at top < r: at rank - 1 when that whole row takes at
-    most ``_WHOLE_ROW_STEPS`` steps or twice the row to r, and otherwise at
+    most ``_WHOLE_ROW_STEPS`` steps, and otherwise at
     ``min(rank - 1, max(r, 2 * top))``, so that a large type's row doubles
     and a first call builds only to r."""
     last = sum(p.rank for p in h.pieces) - 1
-    if _oracle_steps(h, last) <= max(_WHOLE_ROW_STEPS, 2 * _oracle_steps(h, r)):
-        return last
-    return min(last, max(r, 2 * top))
+    return last if _oracle_steps(h, last) <= _WHOLE_ROW_STEPS else min(last, max(r, 2 * top))
 
 
 def theta_oracle(h: HNType, r: int) -> Fraction:

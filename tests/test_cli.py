@@ -22,7 +22,7 @@ from flagnef.cli import (
     render_report,
     run_command,
 )
-from flagnef.theta import _oracle_steps
+from flagnef.theta import _oracle_steps, _oracle_top
 from helpers import merge_by_slope
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -409,8 +409,9 @@ class TestManyPieces:
 
 
 class TestCheckLimit:
-    """oracle-check --bundle refuses more than ORACLE_LIMIT oracle steps,
-    top * sum(min(r_i, top)) with top = --r or rank - 1, before any work."""
+    """oracle-check --bundle refuses a request whose largest oracle row
+    would take more than ORACLE_LIMIT steps, top * sum(min(r_i, top)) with
+    top = _oracle_top(--r or rank - 1), before any work."""
 
     HUGE = '{"pieces":[[100000000,0],[1,-1]]}'
     WIDE = json.dumps({"pieces": [[1, 4000 - i] for i in range(4000)]})
@@ -459,34 +460,36 @@ class TestCheckLimit:
         assert err.startswith("flagnef: error[QuotientRankOutOfRange]: quotient dimension must")
 
     def test_an_accepted_r_builds_no_row_past_the_limit(self, monkeypatch, row_builds):
-        """A small enough type builds its whole row, up to twice the steps
-        of the row to r, so the limit bounds the row actually built.  With
-        the limit at 600 steps, r = 22 and 23 (rows to r of 22 * 23 and
-        23 * 24 steps) are refused: the row built is the whole 30 * 31."""
-        monkeypatch.setattr(cli, "ORACLE_LIMIT", 600)
-        bundle = '{"pieces":[[30,1],[1,0]]}'
-        h, _ = parse_bundle(bundle)
-        accepted = []
-        for r in range(1, 31):
-            row_builds.clear()
-            _, code, _, err = invoke(["oracle-check", "--bundle", bundle, "--r", str(r)])
-            if code == 0:
-                accepted.append(r)
-                assert row_builds and max(_oracle_steps(h, top) for top in row_builds) <= 600
-            else:
-                assert (code, row_builds) == (1, [])
-                assert "more than 600 oracle steps" in err
-        assert accepted == list(range(1, 22))
+        """The limit bounds the row actually built.  With the limit at 200
+        steps: pieces of rank 15 and 1 have a whole row of 15 * 16 = 240
+        steps, at most the 256-step floor, so every r would build it and is
+        refused; pieces of rank 30 and 1 (a whole row of 30 * 31 steps) build
+        the row to r, r * (r + 1) steps, so r = 1..13 are answered."""
+        monkeypatch.setattr(cli, "ORACLE_LIMIT", 200)
+        for bundle, answered in (('{"pieces":[[15,1],[1,0]]}', []),
+                                 ('{"pieces":[[30,1],[1,0]]}', list(range(1, 14)))):
+            h, _ = parse_bundle(bundle)
+            accepted = []
+            for r in range(1, h.rank):
+                row_builds.clear()
+                _, code, _, err = invoke(["oracle-check", "--bundle", bundle, "--r", str(r)])
+                if code == 0:
+                    accepted.append(r)
+                    assert row_builds and max(_oracle_steps(h, top) for top in row_builds) <= 200
+                else:
+                    assert (code, row_builds) == (1, [])
+                    assert "more than 200 oracle steps" in err
+            assert accepted == answered
 
-    def test_the_limit_bounds_the_whole_row_at_full_size(self):
-        """[[2500, 1], [1, 0]] at r = 1999: the row to r takes 1999 * 2000
-        steps, within the limit, but the whole row, 2500 * 2501, is built."""
-        start = time.perf_counter()
-        report, code, out, err = invoke(["oracle-check", "--bundle", '{"pieces":[[2500,1],[1,0]]}',
-                                         "--r", "1999"])
-        assert (report, code, out) == (None, 1, "")
-        assert err.startswith("flagnef: error[LimitExceeded]: oracle-check would take more than")
-        assert time.perf_counter() - start < 0.1
+    def test_one_r_of_a_large_type_builds_only_the_row_to_r(self):
+        """Past the 256-step floor a single r builds only its row to r, so
+        every --r whose row to r is within the limit is answered: r = 1999
+        on pieces of rank 2500 and 1 (1999 * 2000 steps), r = 1600 on 2500
+        rank-1 pieces (1600 * 1600)."""
+        for pieces, r in (([[2500, 1], [1, 0]], 1999), ([[1, -i] for i in range(2500)], 1600)):
+            h, _ = parse_bundle(json.dumps({"pieces": pieces}))
+            assert _oracle_top(h, r) == r
+            assert _oracle_steps(h, r) <= ORACLE_LIMIT < _oracle_steps(h, h.rank - 1)
 
     def test_the_limit_counts_oracle_steps(self, monkeypatch):
         monkeypatch.setattr(cli, "ORACLE_LIMIT", 12)  # every r: 3 * (1 + 2 + 1)

@@ -420,12 +420,12 @@ class TestOracleSteps:
 
     def test_a_row_is_built_whole_when_that_is_cheap(self):
         """_oracle_top, the end of the row a call builds: rank - 1 when the
-        whole row takes at most 256 steps or twice the row to r, else r or
-        twice the old end, whichever is larger."""
+        whole row takes at most 256 steps, else r or twice the old end,
+        whichever is larger, and never past rank - 1."""
         h = make_hn_type([(17, 1)])  # the whole row takes 16 * 16 = 256 steps
         assert [_oracle_top(h, r) for r in (1, 8, 16)] == [16, 16, 16]
-        h = make_hn_type([(18, 1)])  # 17 * 17 = 289 steps, the row to r r * r
-        assert [_oracle_top(h, r) for r in (1, 12, 13)] == [1, 12, 17]
+        h = make_hn_type([(18, 1)])  # 17 * 17 = 289 steps
+        assert [_oracle_top(h, r) for r in (1, 12, 13, 17)] == [1, 12, 13, 17]
         assert [_oracle_top(h, r, top) for r, top in ((5, 4), (5, 2), (12, 10))] == [8, 5, 17]
 
 
