@@ -6,7 +6,9 @@ renders.  Each subcommand is declared once, in the command table
 its text layout.  A request in plain form (the command's words, then each
 option at most once as ``--flag value``) is read straight from the table;
 any other argv, ``--help`` included, goes to an argparse tree built from the
-same table on first use, so a plain request never imports argparse.
+same table on first use, so a plain request never imports argparse.  Both
+readers only split argv and report missing options; each value is then
+converted and checked by its option's parser, in the command's option order.
 Rationals travel as reduced "num/den" strings ("/1" omitted) so downstream
 tools never coerce them to floats.  Exit codes: 0 success, 1 invalid input,
 2 internal invariant violation (oracle mismatch).
@@ -54,16 +56,16 @@ def _parse_rational(value: Any, where: str) -> Fraction:
     raise ParseError(f"{where}: expected an integer or 'num/den' string, got {value!r}")
 
 
-def _int_arg(text: str) -> int:
+def _int_arg(text: str) -> int | None:
     """An integer option value: ASCII digits with an optional sign, and
-    surrounding whitespace.  ``int()`` alone would also take "1_0" and
-    non-ASCII digits."""
+    surrounding whitespace; None for any other text.  ``int()`` alone would
+    also take "1_0" and non-ASCII digits."""
     if _INT_RE.fullmatch(text.strip()):
         try:
             return int(text)
         except ValueError:  # beyond the int/str conversion limit
             pass
-    raise ParseError(f"invalid int value: {text!r}")
+    return None
 
 
 def _load_json(text: str, what: str) -> Any:
@@ -158,14 +160,20 @@ def _bundle(text: str) -> tuple[dict, dict]:
     return {"h": h, "ctx": ctx}, echo
 
 
+def _r(text: str) -> tuple[dict, int]:
+    r = _int_arg(text)
+    if r is None:
+        raise ParseError(f"argument --r: invalid int value: {text!r}")
+    return {"r": r}, r
+
+
 def _flag(text: str) -> tuple[dict, list]:
     parts = text.split(",")
     if len(parts) > FLAG_LIMIT:
         raise LimitExceededError(f"--flag has more than {FLAG_LIMIT} quotient dimensions")
-    try:
-        dims = tuple(_int_arg(part) for part in parts)
-    except ParseError as exc:
-        raise ParseError(f"--flag expects comma-separated integers, got {text!r}") from exc
+    dims = tuple(map(_int_arg, parts))
+    if None in dims:
+        raise ParseError(f"--flag expects comma-separated integers, got {text!r}")
     fl = _validated(FlagType, dims)
     return {"flag": fl}, list(fl.quotient_dims)
 
@@ -191,8 +199,9 @@ def _class_flag(text: str) -> tuple[dict, dict]:
 
 class _Option(NamedTuple):
     """One option: its flag (whose name is also its key in the report's
-    "input"), its parser, and its argparse keywords, which the plain reader
-    follows too: ``dest``, ``required`` and ``type``."""
+    "input"), its parser, the one place its raw value is converted, and its
+    argparse keywords, which the plain reader follows too: ``dest`` and
+    ``required``."""
 
     flag: str
     parse: Callable[[Any], tuple[dict, Any]]
@@ -205,8 +214,7 @@ class _Option(NamedTuple):
 
 _BUNDLE_HELP = "bundle spec: inline JSON or @file"
 _BUNDLE = _Option("--bundle", _bundle, {"required": True, "help": _BUNDLE_HELP})
-_R = _Option("--r", lambda r: ({}, r),  # already an int: its "type" converted it
-             {"type": _int_arg, "required": True, "help": "quotient dimension"})
+_R = _Option("--r", _r, {"required": True, "help": "quotient dimension"})
 _FLAG = _Option("--flag", _flag, {"required": True, "help": "quotient dimensions r1,r2,..."})
 _CLASS = {"dest": "ns_class", "required": True}
 _CLASS_GR = _Option("--class", _class_gr,
@@ -324,8 +332,7 @@ def _vabundles(a: SimpleNamespace) -> dict:
 
 @_command("oracle-check", "recompute the invariant by brute force and compare",
           _BUNDLE._replace(spec={"help": _BUNDLE_HELP}),
-          _R._replace(spec={
-              "type": _int_arg, "help": "check a single quotient dimension (needs --bundle)"}))
+          _R._replace(spec={"help": "check a single quotient dimension (needs --bundle)"}))
 def _oracle_check(a: SimpleNamespace) -> dict:
     """Without --bundle, sweeps the built-in corpus.  A mismatch is printed
     to stderr and reported as "ok": false, which exits 2."""
@@ -363,9 +370,9 @@ def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
     """Read a request in plain form straight from the command table: the
     command's words, then each of its options at most once as ``--flag
     value`` with a value not led by "-", and ``--json`` at most once.  Any
-    other argv returns None, for argparse.  The two usage errors a plain
-    request can hold read as argparse writes them: a value its ``type``
-    rejects, in argv order, then the missing required options."""
+    other argv returns None, for argparse.  Values stay the raw strings; the
+    one usage error found here, missing required options, reads as argparse
+    writes it."""
     head = argv[:2] if argv and argv[0] in _GROUP_HELP else argv[:1]
     name = " ".join(head)
     if name not in _COMMANDS or " " in head[0]:
@@ -382,17 +389,12 @@ def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
             given[argv[i]], i = argv[i + 1], i + 2
         else:
             return None
-    args = SimpleNamespace(name=name, json=as_json, **{opt.dest: None for opt in options.values()})
-    for flag, value in given.items():
-        try:
-            setattr(args, options[flag].dest, options[flag].spec.get("type", str)(value))
-        except ParseError as exc:
-            raise ParseError(f"argument {flag}: {exc}") from None
     missing = [flag for flag, opt in options.items()
                if opt.spec.get("required") and flag not in given]
     if missing:
         raise ParseError(f"the following arguments are required: {', '.join(missing)}")
-    return args
+    return SimpleNamespace(name=name, json=as_json,
+                           **{opt.dest: given.get(flag) for flag, opt in options.items()})
 
 
 @functools.cache
@@ -411,15 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         def print_help(self, file: TextIO | None = None) -> None:
             raise _HelpRequested(self.format_help())
 
-    def typed(convert: Callable[[str], Any]) -> Callable[[str], Any]:
-        # argparse words an ArgumentTypeError as "argument --r: <message>"
-        def argparse_type(text: str) -> Any:
-            try:
-                return convert(text)
-            except ParseError as exc:
-                raise argparse.ArgumentTypeError(str(exc)) from None
-        return argparse_type
-
     parser = _Parser(prog="flagnef", description=(
         "Exact positivity and nef-cone computations for Grassmann and flag "
         "bundles over a curve, from Harder-Narasimhan data."))
@@ -431,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
             subs[group] = p_group.add_subparsers(dest="target", required=True, metavar="target")
         p = subs[group].add_parser(leaf, help=command.help)
         for opt in command.options:
-            spec = {**opt.spec, "type": typed(opt.spec["type"])} if "type" in opt.spec else opt.spec
-            p.add_argument(opt.flag, **spec)
+            p.add_argument(opt.flag, **opt.spec)
         p.add_argument("--json", action="store_true", help="emit the report as one JSON document")
         p.set_defaults(name=name)
     return parser

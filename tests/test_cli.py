@@ -842,12 +842,21 @@ class TestCommandTable:
               "--class", '{"x":"a","y":"b"}'], "class.x:"),
             (["member", "flag", "--bundle", '{"pieces":[[1,1],[1,0]]}', "--flag", "1",
               "--class", '{"x":["a"],"y":"b"}'], "class.x[0]:"),
+            (["theta", "--bundle", "{", "--r", "x"], "bundle spec: invalid JSON"),
+            (["theta", "--r", "x"], "required: --bundle"),
         ],
     )
     def test_first_error_follows_the_input_order(self, argv, message):
         _, code, _, err = invoke(argv)
         assert code == 1
         assert message in err
+
+    def test_a_repeated_r_keeps_its_last_value(self, monkeypatch):
+        argv = ["theta", "--bundle", '{"pieces":[[1,1],[2,-1]]}', "--r", "1_0", "--r", "2"]
+        report, code, _, _ = plain = invoke(argv)
+        assert (code, report["input"]["r"]) == (0, 2)
+        monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+        assert invoke(argv) == plain
 
     def test_unknown_command_in_report(self):
         with pytest.raises(ValueError, match="unknown command"):
@@ -878,8 +887,8 @@ def test_import_loads_no_dataclasses_inspect_or_argparse():
 
 
 def test_plain_requests_never_import_argparse():
-    """A valid request and the two usage errors of a plain request are read
-    without argparse; --help, the control, imports it."""
+    """A valid request, a missing option and a bad value in plain form are
+    read without argparse; --help, the control, imports it."""
     bundle = '{"pieces":[[2,0]]}'
     argvs = [["theta", "--bundle", bundle, "--r", "1", "--json"], ["theta", "--bundle", bundle],
              ["theta", "--bundle", bundle, "--r", "1_0"], ["theta", "--help"]]
