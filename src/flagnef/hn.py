@@ -11,11 +11,13 @@ Harder-Narasimhan, or Shatz, polygon read from below), which the threshold
 invariant and both nef cones read in integer arithmetic.
 
 Values do not change once built, except a type's private ``_oracle`` slot,
-which :mod:`flagnef.theta` fills on first use; equality, hashing, ``repr``
+which :mod:`flagnef.theta` fills as it is used; equality, hashing, ``repr``
 and pickling never read it.  A fill is idempotent: it rebinds the slot to a
 new tuple instead of mutating one, or adds to the slot's slope table an
-entry whose value its key fixes, so every operation, a pure function, is
-safe for unrestricted concurrent use.  Pieces and field contexts are named
+entry whose value its key fixes.  A row or block table that a concurrent
+fill drops is only built again, and a bound block table never changes (its
+callers get copies), so every operation, a pure function, is safe for
+unrestricted concurrent use.  Pieces and field contexts are named
 tuples whose fields are exactly their constructors' checked arguments; they
 also compare equal to plain tuples of those fields.
 """
@@ -177,7 +179,8 @@ class Polygon(NamedTuple):
 
 class HNType:
     """Ordered graded pieces with strictly decreasing slopes, and their
-    quotient polygon.  ``_oracle`` stays unset until the oracle fills it."""
+    quotient polygon.  ``_oracle`` stays unset until the oracle or the
+    block walk reads the type; after a second block walk it keeps all blocks."""
 
     __slots__ = ("pieces", "polygon", "_oracle")
     pieces: tuple[HNPiece, ...]

@@ -141,27 +141,77 @@ def _bounded_compositions(caps: tuple[int, ...], weights: tuple[int, ...],
 
 
 def _oracle_data(h: HNType) -> tuple[tuple[int, ...], tuple[int, ...], int, list[int],
-                                      dict[int, Fraction]]:
-    """``(ranks, weights, den, best, slopes)`` of h, kept in its ``_oracle``
-    slot: slope_i = weights[i] / den, so the hot loops stay in integers,
-    ``best`` is the oracle's row (``[0]`` until :func:`theta_oracle` grows
-    it), and ``slopes`` maps each slope numerator read so far to its
-    ``Fraction(num, den)``, so each slope of a type is built once."""
+                                      dict[int, Fraction], list[list[VaBundle]] | None, bool]:
+    """``(ranks, weights, den, best, slopes, table, asked)`` of h, kept in
+    its ``_oracle`` slot: slope_i = weights[i] / den, so the hot loops stay
+    in integers; ``best`` is the oracle's row (``[0]`` until
+    :func:`theta_oracle` grows it); ``slopes`` maps each slope numerator
+    read so far to its ``Fraction(num, den)``, so each slope of a type is
+    built once; :func:`enumerate_va` sets ``asked`` and fills ``table``."""
     data = getattr(h, "_oracle", None)
     if data is None:
         ranks = tuple(p.rank for p in h.pieces)
         den = math.lcm(*ranks)
-        data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0], {}
+        data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0], {}, None, False
         object.__setattr__(h, "_oracle", data)
     return data
 
 
+# A type keeps the blocks of every r once enumerate_va is asked about a
+# second r, when they number at most this many in all: prod(r_i + 1), the
+# blocks of every r from 0 to rank, at about 200 bytes each (up to 0.9 MB).
+_WHOLE_TABLE_BLOCKS = 4096
+
+
+def _block_table(ranks: tuple[int, ...], weights: tuple[int, ...], den: int,
+                 slopes: dict[int, Fraction]) -> list[list[VaBundle]]:
+    """The blocks of every r, bucketed by r: a mixed-radix count over
+    0 <= a_i <= ranks[i] in lexicographic order, which each bucket keeps.
+    A step raises the last digit below its cap and clears the full digits
+    after it, which leaves the rank as it is, since comb(c, c) == comb(c, 0)."""
+    buckets: list[list[VaBundle]] = [[] for _ in range(sum(ranks) + 1)]
+    new = tuple.__new__  # VaBundle.__new__ only packs its fields, in Python
+    a = [0] * len(ranks)
+    rank, num, units = 1, 0, 0
+    while True:
+        total = rank * num
+        if total % den:
+            raise AssertionError("exterior-power degree must be an integer")
+        slope = slopes.get(num)
+        if slope is None:
+            slopes[num] = slope = Fraction(num, den)
+        buckets[units].append(new(VaBundle, (tuple(a), rank, total // den, slope)))
+        i = len(a) - 1
+        while a[i] == ranks[i]:
+            num -= a[i] * weights[i]
+            units -= a[i]
+            a[i] = 0
+            i -= 1
+            if i < 0:
+                return buckets
+        k = a[i]
+        rank = rank * (ranks[i] - k) // (k + 1)
+        num += weights[i]
+        units += 1
+        a[i] = k + 1
+
+
 def enumerate_va(h: HNType, r: int) -> list[VaBundle]:
     """All exterior-power blocks for quotient dimension r, one per
-    composition, in lexicographic order of the composition."""
-    ranks, weights, den, _, slopes = _oracle_data(h)
+    composition, in lexicographic order of the composition.  The first call
+    on a type walks r alone; a later one keeps the blocks of every r in the
+    type's slot when they number at most ``_WHOLE_TABLE_BLOCKS``, and from
+    then on each call returns a new list of r's."""
+    ranks, weights, den, _, slopes, table, asked = _oracle_data(h)
     _require_quotient_rank(sum(ranks), r)
-    new = tuple.__new__  # VaBundle.__new__ only packs its fields, in Python
+    if table is None and asked and math.prod(c + 1 for c in ranks) <= _WHOLE_TABLE_BLOCKS:
+        table = _block_table(ranks, weights, den, slopes)
+        object.__setattr__(h, "_oracle", h._oracle[:5] + (table, True))
+    if table is not None:
+        return table[r][:]
+    if not asked:
+        object.__setattr__(h, "_oracle", h._oracle[:6] + (True,))
+    new = tuple.__new__
     out: list[VaBundle] = []
     for a, rank, num in _bounded_compositions(ranks, weights, r):
         total = rank * num
@@ -229,11 +279,12 @@ def theta_oracle(h: HNType, r: int) -> Fraction:
     polygon, and does not assume the slope order, so it shares no logic
     with the closed form in :func:`theta`; the two are meant to check each
     other."""
-    ranks, weights, den, best, slopes = _oracle_data(h)
+    ranks, weights, den, best, slopes, _, _ = _oracle_data(h)
     _require_quotient_rank(sum(ranks), r)
     if r >= len(best):
         best = _oracle_row(ranks, weights, _oracle_top(h, r, len(best) - 1))
-        object.__setattr__(h, "_oracle", (ranks, weights, den, best, slopes))  # the table is shared
+        # the slope table, block table and marker ride along from the slot as it is now
+        object.__setattr__(h, "_oracle", (ranks, weights, den, best) + h._oracle[4:])
     num = best[r]
     value = slopes.get(num)
     if value is None:

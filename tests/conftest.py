@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import pytest
 
@@ -29,3 +30,19 @@ def row_builds(monkeypatch):
 
     monkeypatch.setattr(module, "_oracle_row", counting)
     return tops
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The piece ranks of every type whose block table is built while the
+    test runs.  A build past the bound fails at once, before its walk."""
+    module = importlib.import_module("flagnef.theta")
+    build, built = module._block_table, []
+
+    def counting(ranks, weights, den, slopes):
+        assert math.prod(c + 1 for c in ranks) <= module._WHOLE_TABLE_BLOCKS, ranks[:3]
+        built.append(ranks)
+        return build(ranks, weights, den, slopes)
+
+    monkeypatch.setattr(module, "_block_table", counting)
+    return built

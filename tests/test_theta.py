@@ -1,9 +1,11 @@
 import importlib
+import io
 import itertools
 import math
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,6 +18,7 @@ from flagnef import (
     HNPiece,
     PositivityClass,
     QuotientRankOutOfRangeError,
+    VaBundle,
     classify_tautological,
     enumerate_va,
     grassmann_nef_cone,
@@ -24,6 +27,7 @@ from flagnef import (
     theta_oracle,
     threshold_index,
 )
+from flagnef.cli import run_command
 from flagnef.corpus import iter_hn_types
 from flagnef.theta import _bounded_compositions, _oracle_steps, _oracle_top, _theta_parts
 from helpers import (
@@ -214,6 +218,78 @@ class TestEnumerateVa:
         blocks = enumerate_va(h, r)
         assert [tuple(b) for b in blocks] == brute_blocks(h, r)
         assert all(type(b.degree) is int and type(b.slope_sum) is Fraction for b in blocks)
+
+
+class TestBlockTable:
+    """A type asked about a second r keeps the blocks of every r, built in
+    one walk, and answers from them; a single r or a large type does not."""
+
+    def test_every_order_matches_the_first_call_walk(self, table_builds):
+        """Every r of the corpus and of 500 random types of rank <= 12,
+        ascending, descending and shuffled: each answer is the first-call
+        walk on a fresh copy of the type, block for block and in order."""
+        rng = random.Random(15)
+        pieces = [[tuple(p) for p in h.pieces] for h in iter_hn_types(6, 4)]
+        pieces += [[tuple(p) for p in random_hn_type(rng).pieces] for _ in range(500)]
+        tables = 0
+        for ps in pieces:
+            up = list(range(1, sum(rank for rank, _ in ps)))
+            want = {r: enumerate_va(make_hn_type(ps), r) for r in up}
+            for rs in (up, up[::-1], rng.sample(up, len(up))):
+                h = make_hn_type(ps)
+                for r in rs:
+                    got = enumerate_va(h, r)
+                    assert got == want[r] and all(type(b) is VaBundle for b in got)
+            tables += 3 * (len(up) > 1)
+        assert len(table_builds) == tables > 18000
+
+    def test_the_caller_owns_the_list(self, table_builds):
+        h = make_hn_type([(1, 3), (2, 1), (1, 0)])
+        want = brute_blocks(h, 2)
+        enumerate_va(h, 1)
+        enumerate_va(h, 2).clear()
+        assert [tuple(b) for b in enumerate_va(h, 2)] == want
+        enumerate_va(h, 2).append(want[0])
+        assert [tuple(b) for b in enumerate_va(h, 2)] == want
+        assert len(table_builds) == 1
+
+    def test_a_row_growth_keeps_the_table(self, table_builds, row_builds):
+        """A rank-18 piece's whole row takes 289 steps, so its row grows by
+        doubling, and each growth carries the block table along."""
+        h = make_hn_type([(18, 1)])
+        for r in range(1, 18):
+            assert theta_oracle(h, r) == theta(h, r).theta
+            assert [tuple(b) for b in enumerate_va(h, r)] == brute_blocks(h, r)
+        assert row_builds == [1, 2, 4, 8, 16, 17] and len(table_builds) == 1
+
+    def test_every_type_of_rank_3_or_more_builds_one_table(self, table_builds):
+        """Over the corpus at every r, ascending: one table per type with
+        more than one r, on its second call, and none for rank 2."""
+        for h in iter_hn_types(6, 4):
+            before = len(table_builds)
+            for r in range(1, h.rank):
+                enumerate_va(h, r)
+                assert len(table_builds) - before == (r > 1)
+
+    def test_a_single_r_request_builds_none(self, table_builds):
+        argv = ["vabundles", "--bundle", '{"pieces":[[1,3],[2,1],[1,0]]}', "--r", "2", "--json"]
+        report, code = run_command(argv, stdout=io.StringIO())
+        assert code == 0 and report["result"]["count"] == 4
+        assert table_builds == []
+
+    def test_types_over_the_bound_build_none(self, table_builds):
+        """2**1200 and 2 * (10**8 + 1) blocks in all: every call walks its own r."""
+        start = time.perf_counter()
+        wide = make_hn_type([(1, 1200 - i) for i in range(1200)])
+        assert len(enumerate_va(wide, 1)) == len(enumerate_va(wide, 1)) == 1200
+        huge = make_hn_type([[10**8, 0], [1, -1]])
+        assert [b.composition for b in enumerate_va(huge, 1)] == [(0, 1), (1, 0)]
+        assert [tuple(b) for b in enumerate_va(huge, 2)] == [
+            ((1, 1), 10**8, -(10**8), Fraction(-1)),
+            ((2, 0), math.comb(10**8, 2), 0, Fraction(0)),
+        ]
+        assert time.perf_counter() - start < 1
+        assert table_builds == []
 
 
 class TestBoundedCompositions:
