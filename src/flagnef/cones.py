@@ -62,9 +62,9 @@ class RayGr(_checked_tuple("RayGr", [("u", int), ("v", int)])):
     def __new__(cls, u: int, v: int) -> "RayGr":
         if not isinstance(u, int) or not isinstance(v, int):
             raise TypeError("ray coordinates must be integers")
-        if u == v == 0:
-            raise ValueError("the zero vector spans no ray")
-        if u < 0 or math.gcd(u, v) != 1:
+        if u < 0 or math.gcd(u, v) != 1:  # gcd(0, 0) == 0
+            if u == v == 0:
+                raise ValueError("the zero vector spans no ray")
             raise ValueError(f"({_shown(u)}, {_shown(v)}) is not a normalized primitive ray")
         return tuple.__new__(cls, (u, v))
 
@@ -107,7 +107,8 @@ def grassmann_nef_cone(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> Cone
     """
     _, num, den = _theta_parts(h, r)
     pd = ctx.p_delta
-    return ConeDescriptionGr(_FIBER_RAY, RayGr(*_theta_ray(pd, num, den)), Fraction(num, den), pd)
+    ray = RayGr(*_theta_ray(pd, num, den))
+    return tuple.__new__(ConeDescriptionGr, (_FIBER_RAY, ray, Fraction(num, den), pd))
 
 
 def is_nef_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
@@ -190,7 +191,7 @@ def flag_nef_cone(h: HNType, fl: FlagType, ctx: FieldContext = CHAR_ZERO) -> Con
         rays.append((0,) * i + (u,) + (0,) * (nu - 1 - i) + (v,))
         thetas.append(Fraction(num, den))
     rays.append((0,) * nu + (1,))
-    return ConeDescriptionFlag(fl, tuple(rays), tuple(thetas), pd)
+    return tuple.__new__(ConeDescriptionFlag, (fl, tuple(rays), tuple(thetas), pd))
 
 
 def is_nef_flag(c: NSClassFlag, cone: ConeDescriptionFlag) -> bool:

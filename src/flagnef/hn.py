@@ -19,13 +19,15 @@ fill drops is only built again, and a bound block table never changes (its
 callers get copies), so every operation, a pure function, is safe for
 unrestricted concurrent use.  Pieces and field contexts are named
 tuples whose fields are exactly their constructors' checked arguments; they
-also compare equal to plain tuples of those fields.
+also compare equal to plain tuples of those fields.  A checked value has one
+constructor, which runs every check in one pass; a record that checks nothing
+(``Polygon``, the records of theta and cones) is packed with ``tuple.__new__``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -41,6 +43,8 @@ from .errors import (
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
     """Coerce ``value`` to an exact rational.  Floats are rejected."""
+    if isinstance(value, str):  # isdecimal(): the digits (Unicode Nd) Fraction reads as \d
+        return Fraction(int(value)) if value.isdecimal() else Fraction(value)
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact computations")
     return Fraction(value)
@@ -190,18 +194,24 @@ class HNType:
         pieces = tuple(pieces)
         if not pieces:
             raise EmptyTypeError("an HN type needs at least one piece")
-        if not all(isinstance(piece, HNPiece) for piece in pieces):
-            raise TypeError("pieces must be HNPiece instances")
-        for i, (a, b) in enumerate(zip(pieces, pieces[1:]), start=1):
-            if a.degree * b.rank <= b.degree * a.rank:
-                raise NonDecreasingSlopesError(
-                    f"slopes must strictly decrease, but mu_{i} = "
-                    f"{_shown(a.slope)} <= mu_{i + 1} = {_shown(b.slope)}"
-                )
+        # One pass up; slope faults wait, so a non-piece comes first and the topmost is named.
+        ranks, degrees = [0], [0]
+        fault, below = 0, (0, -1)  # slope -infinity below the bottom piece
+        for k, piece in enumerate(reversed(pieces)):
+            if not isinstance(piece, HNPiece):
+                raise TypeError("pieces must be HNPiece instances")
+            c, d = piece
+            if d * below[0] <= below[1] * c:
+                fault = len(pieces) - k  # mu_fault <= mu_(fault + 1)
+            below = piece
+            ranks.append(ranks[-1] + c)
+            degrees.append(degrees[-1] + d)
+        if fault:
+            a, b = pieces[fault - 1].slope, pieces[fault].slope
+            raise NonDecreasingSlopesError(f"slopes must strictly decrease, but mu_{fault} = "
+                                           f"{_shown(a)} <= mu_{fault + 1} = {_shown(b)}")
         object.__setattr__(self, "pieces", pieces)
-        ranks, degrees = zip(*reversed(pieces))  # the two columns of the pieces, bottom-up
-        object.__setattr__(self, "polygon", Polygon(tuple(accumulate(ranks, initial=0)),
-                                                    tuple(accumulate(degrees, initial=0))))
+        object.__setattr__(self, "polygon", tuple.__new__(Polygon, (tuple(ranks), tuple(degrees))))
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -237,13 +247,13 @@ class HNType:
 
     def dual(self) -> "HNType":
         """Numerical dual: reverse the pieces and negate every degree."""
-        return HNType(tuple(HNPiece(p.rank, -p.degree) for p in reversed(self.pieces)))
+        return HNType([HNPiece(c, -d) for c, d in reversed(self.pieces)])
 
     def twist(self, m: int) -> "HNType":
         """Tensor with a degree-m line bundle: every slope shifts by m."""
         if not isinstance(m, int):
             raise TypeError("twist degree must be an integer")
-        return HNType(tuple(HNPiece(p.rank, p.degree + p.rank * m) for p in self.pieces))
+        return HNType([HNPiece(c, d + c * m) for c, d in self.pieces])
 
     def cover_pullback(self, m: int) -> "HNType":
         """Pull back along a degree-m cover of the base curve: degrees scale by m."""
@@ -251,7 +261,7 @@ class HNType:
             raise TypeError("cover degree must be an integer")
         if m < 1:
             raise NonPositiveCoverDegreeError(f"cover degree must be >= 1, got {_shown(m)}")
-        return HNType(tuple(HNPiece(p.rank, m * p.degree) for p in self.pieces))
+        return HNType([HNPiece(c, m * d) for c, d in self.pieces])
 
     def frobenius_pullback(self, ctx: FieldContext) -> "HNType":
         """Pull back along delta Frobenius steps: the degree-p**delta cover
@@ -273,7 +283,7 @@ def make_hn_type(pieces: Iterable[tuple[int, int]]) -> HNType:
     is unique with strictly decreasing slopes, and silent merging would hide
     input mistakes.  Use :func:`hn_from_splitting_type` for the lenient path.
     """
-    return HNType(tuple(HNPiece(rank, degree) for rank, degree in pieces))
+    return HNType([HNPiece(rank, degree) for rank, degree in pieces])
 
 
 def hn_from_splitting_type(degrees: Iterable[int]) -> HNType:
@@ -287,8 +297,5 @@ def hn_from_splitting_type(degrees: Iterable[int]) -> HNType:
         raise EmptyTypeError("a splitting type needs at least one summand")
     if not all(isinstance(a, int) for a in ordered):
         raise TypeError("summand degrees must be integers")
-    pieces = []
-    for a, group in groupby(ordered):
-        m = len(list(group))
-        pieces.append(HNPiece(rank=m, degree=a * m))
-    return HNType(tuple(pieces))
+    runs = [(len(list(group)), a) for a, group in groupby(ordered)]
+    return HNType([HNPiece(m, m * a) for m, a in runs])

@@ -77,7 +77,8 @@ def _theta_parts(h: HNType, r: int) -> tuple[int, int, int]:
     """The first polygon vertex k whose rank reaches r (the edge into it is
     piece t), and theta as ``s * d_t + tail_degree * r_t`` over ``r_t > 0``."""
     ranks, degrees = h.polygon
-    _require_quotient_rank(ranks[-1], r)
+    if type(r) is not int or not 0 < r < ranks[-1]:  # an exact int in range skips the check
+        _require_quotient_rank(ranks[-1], r)
     k = bisect_left(ranks, r)
     tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
     r_t = ranks[k] - tail_rank
@@ -94,8 +95,9 @@ def theta(h: HNType, r: int) -> ThetaBreakdown:
     k, num, r_t = _theta_parts(h, r)
     ranks, degrees = h.polygon
     tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
-    return ThetaBreakdown(r, len(ranks) - k, tail_rank, tail_degree, r - tail_rank,
-                          Fraction(degrees[k] - tail_degree, r_t), Fraction(num, r_t))
+    return tuple.__new__(ThetaBreakdown, (r, len(ranks) - k, tail_rank, tail_degree, r - tail_rank,
+                                          Fraction(degrees[k] - tail_degree, r_t),
+                                          Fraction(num, r_t)))
 
 
 def _bounded_compositions(caps: tuple[int, ...], weights: tuple[int, ...],

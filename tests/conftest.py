@@ -33,6 +33,20 @@ def row_builds(monkeypatch):
 
 
 @pytest.fixture
+def type_builds(monkeypatch):
+    """Every HNType whose constructor runs while the test runs, in order."""
+    module = importlib.import_module("flagnef.hn")
+    init, built = module.HNType.__init__, []
+
+    def counting(self, pieces):
+        built.append(self)
+        init(self, pieces)
+
+    monkeypatch.setattr(module.HNType, "__init__", counting)
+    return built
+
+
+@pytest.fixture
 def table_builds(monkeypatch):
     """The piece ranks of every type whose block table is built while the
     test runs.  A build past the bound fails at once, before its walk."""

@@ -11,6 +11,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from flagnef import HNType, make_hn_type
+from flagnef.hn import Polygon
 
 
 def brute_min_slope_sum(h: HNType, r: int) -> Fraction:
@@ -40,6 +41,23 @@ def brute_blocks(h: HNType, r: int) -> list[tuple]:
             slope_sum = sum(k * p.slope for k, p in zip(a, h.pieces))
             out.append((a, rank, rank * slope_sum, slope_sum))
     return out
+
+
+def reference_polygon(pieces) -> Polygon:
+    """Reference quotient polygon: the two columns of the pieces, bottom-up,
+    summed with itertools.accumulate."""
+    ranks, degrees = zip(*reversed(pieces))
+    return Polygon(tuple(itertools.accumulate(ranks, initial=0)),
+                   tuple(itertools.accumulate(degrees, initial=0)))
+
+
+def slope_fault_message(pieces) -> str | None:
+    """The message of the topmost pair of adjacent pieces whose slopes do
+    not strictly decrease, found top-down with Fraction slopes, or None."""
+    for i, (a, b) in enumerate(zip(pieces, pieces[1:]), start=1):
+        if a.slope <= b.slope:
+            return f"slopes must strictly decrease, but mu_{i} = {a.slope} <= mu_{i + 1} = {b.slope}"
+    return None
 
 
 def merge_by_slope(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:

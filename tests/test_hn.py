@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -20,8 +21,8 @@ from flagnef import (
     hn_from_splitting_type,
     make_hn_type,
 )
-from flagnef.hn import PRIME_BOUND, _is_prime
-from helpers import hn_types
+from flagnef.hn import PRIME_BOUND, Polygon, _is_prime
+from helpers import hn_types, random_hn_type, reference_polygon, slope_fault_message
 
 
 class TestMakeHNType:
@@ -56,6 +57,47 @@ class TestMakeHNType:
     def test_float_inputs_rejected(self):
         with pytest.raises(TypeError):
             make_hn_type([(1, 0.5)])
+
+
+def transforms(h):
+    """h and every transform of it, with a few fixed parameters."""
+    return [h, h.dual(), h.twist(-3), h.twist(7), h.cover_pullback(2),
+            h.frobenius_pullback(FieldContext(3, 2))]
+
+
+class TestConstructorChecks:
+    """The one-pass constructor raises what a top-down check would: a
+    non-piece anywhere before any slope fault, and of several slope faults
+    the topmost pair."""
+
+    FAULTY = [HNPiece(1, 0), HNPiece(1, 2), HNPiece(2, 2), HNPiece(1, 5)]  # mu: 0, 2, 1, 5
+
+    @pytest.mark.parametrize("where", [0, 1, 2, 4])
+    def test_a_non_piece_anywhere_beats_every_slope_fault(self, where):
+        for stranger in [(1, 0), [1, 0], "x", None, 3]:
+            pieces = self.FAULTY[:where] + [stranger] + self.FAULTY[where:]
+            with pytest.raises(TypeError) as info:
+                HNType(pieces)
+            assert str(info.value) == "pieces must be HNPiece instances"
+
+    def test_the_topmost_of_several_faults_is_named(self):
+        with pytest.raises(NonDecreasingSlopesError) as info:
+            HNType(self.FAULTY)
+        assert str(info.value) == "slopes must strictly decrease, but mu_1 = 0 <= mu_2 = 2"
+        with pytest.raises(NonDecreasingSlopesError) as info:
+            HNType([HNPiece(1, 9), HNPiece(3, 1), HNPiece(2, 2), HNPiece(1, 1), HNPiece(1, 1)])
+        assert str(info.value) == "slopes must strictly decrease, but mu_2 = 1/3 <= mu_3 = 1"
+
+    @given(st.lists(st.builds(HNPiece, st.integers(1, 4), st.integers(-6, 6)),
+                    min_size=1, max_size=7))
+    def test_agrees_with_the_top_down_check(self, pieces):
+        message = slope_fault_message(pieces)
+        if message is None:
+            assert HNType(pieces).polygon == reference_polygon(pieces)
+        else:
+            with pytest.raises(NonDecreasingSlopesError) as info:
+                HNType(iter(pieces))
+            assert str(info.value) == message
 
 
 class TestSplittingType:
@@ -133,6 +175,20 @@ class TestPolygon:
         edges = [(ranks[k + 1] - ranks[k], degrees[k + 1] - degrees[k]) for k in range(len(h))]
         assert edges == [(p.rank, p.degree) for p in reversed(h.pieces)]
 
+    def test_matches_the_reference_on_the_corpus_and_its_transforms(self, corpus):
+        assert len(corpus) == 6064
+        for h in corpus:
+            for out in transforms(h):
+                assert type(out.polygon) is Polygon
+                assert out.polygon == reference_polygon(out.pieces)
+
+    def test_matches_the_reference_on_random_types_and_their_transforms(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            h = random_hn_type(rng, max_rank=30, degree_bound=10**6)
+            for out in transforms(h) + [h.twist(rng.randint(-10**9, 10**9))]:
+                assert out.polygon == reference_polygon(out.pieces)
+
 
 class TestTransforms:
     def test_dual_examples(self):
@@ -170,6 +226,17 @@ class TestTransforms:
         h = make_hn_type([(2, 0)])
         assert h.cover_pullback(1) == h
         assert h.cover_pullback(5) == h
+
+    def test_each_builds_one_type(self, type_builds):
+        h = make_hn_type([(1, 3), (2, 1), (1, 0)])
+        assert type_builds == [h]
+        for build in (lambda: h.twist(2), h.dual, lambda: h.cover_pullback(3),
+                      lambda: h.frobenius_pullback(FieldContext(3, 2)),
+                      lambda: hn_from_splitting_type([2, 0, 2, -1]),
+                      lambda: make_hn_type([(2, 1), (1, -4)])):
+            type_builds.clear()
+            out = build()
+            assert len(type_builds) == 1 and type_builds[0] is out
 
     def test_cover_degree_must_be_positive(self):
         h = make_hn_type([(2, 0)])

@@ -106,6 +106,30 @@ class TestTheta:
             with pytest.raises(QuotientRankOutOfRangeError):
                 theta(h, r)
 
+    def test_every_r_outside_the_fast_path_takes_the_full_check(self):
+        """Only an exact int inside 1..n-1 skips the range check; everything
+        else raises, or is accepted, exactly as the full check decides."""
+        class Rank(int):
+            pass
+
+        h = make_hn_type([(1, 1), (2, -1)])
+        assert theta(h, True) == theta(h, 1) and theta(h, Rank(2)) == theta(h, 2)
+        for r, error, message in [
+            (0, QuotientRankOutOfRangeError, "quotient dimension must satisfy 1 <= r <= 2, got 0"),
+            (-1, QuotientRankOutOfRangeError, "quotient dimension must satisfy 1 <= r <= 2, got -1"),
+            (False, QuotientRankOutOfRangeError,
+             "quotient dimension must satisfy 1 <= r <= 2, got False"),
+            (Rank(3), QuotientRankOutOfRangeError,
+             "quotient dimension must satisfy 1 <= r <= 2, got 3"),
+            (1.0, TypeError, "quotient dimension r must be an integer"),
+            (Fraction(1), TypeError, "quotient dimension r must be an integer"),
+            ("1", TypeError, "quotient dimension r must be an integer"),
+        ]:
+            for read in (theta, threshold_index, classify_tautological, grassmann_nef_cone):
+                with pytest.raises(error) as info:
+                    read(h, r)
+                assert type(info.value) is error and str(info.value) == message
+
     @given(hn_types_with_r())
     def test_breakdown_matches_the_pieces(self, h_r):
         """The polygon's bisection agrees with the definitions, read off the

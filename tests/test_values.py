@@ -13,8 +13,12 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagnef import (
+    ConeDescriptionFlag,
+    ConeDescriptionGr,
     EmptyTypeError,
     FieldContext,
     FlagType,
@@ -30,6 +34,8 @@ from flagnef import (
     NSClassGr,
     QuotientRankOutOfRangeError,
     RayGr,
+    ThetaBreakdown,
+    as_fraction,
     enumerate_va,
     flag_nef_cone,
     grassmann_nef_cone,
@@ -37,7 +43,7 @@ from flagnef import (
     theta,
     theta_oracle,
 )
-from flagnef.hn import PRIME_BOUND
+from flagnef.hn import PRIME_BOUND, Polygon
 
 TYPE = make_hn_type([(1, 1), (2, -1)])
 
@@ -255,3 +261,83 @@ class TestUnprintableIntegers:
             with pytest.raises(NonPositiveRankError) as info:
                 HNPiece(-value, 0)
             assert str(info.value).endswith(f"<a negative integer of {digits} digits>")
+
+
+# name -> (the record as the library returns it, the same record built by keyword)
+RECORDS = {
+    "ThetaBreakdown": (lambda: theta(TYPE, 2),
+                       ThetaBreakdown(r=2, t=2, tail_rank=0, tail_degree=0, s=2,
+                                      mu_t=Fraction(-1, 2), theta=Fraction(-1))),
+    "ConeDescriptionGr": (lambda: grassmann_nef_cone(TYPE, 1, FieldContext(2, 1)),
+                          ConeDescriptionGr(fiber_ray=RayGr(0, 1), theta_ray=RayGr(4, 1),
+                                            theta_used=Fraction(-1, 2), p_delta=2)),
+    "ConeDescriptionFlag": (lambda: flag_nef_cone(TYPE, FlagType([1, 2])),
+                            ConeDescriptionFlag(flag=FlagType([1, 2]),
+                                                rays=((2, 0, 1), (0, 1, 1), (0, 0, 1)),
+                                                thetas_used=(Fraction(-1, 2), Fraction(-1)),
+                                                p_delta=1)),
+    "Polygon": (lambda: make_hn_type([(1, 1), (2, -1)]).polygon,
+                Polygon(ranks=(0, 2, 3), degrees=(0, -1, 0))),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestPackedRecords:
+    """Records packed with tuple.__new__ are full named tuples of their class."""
+
+    def test_class_fields_and_keyword_equality(self, name):
+        build, expected = RECORDS[name]
+        value = build()
+        assert type(value) is type(expected) and type(value).__name__ == name
+        assert value._fields == expected._fields
+        assert value == expected and hash(value) == hash(expected)
+        assert repr(value) == repr(expected)
+
+    def test_replace_and_asdict(self, name):
+        build, expected = RECORDS[name]
+        value = build()
+        assert value._asdict() == expected._asdict()
+        assert list(value._asdict()) == list(value._fields)
+        first = value._fields[0]
+        changed = value._replace(**{first: "changed"})
+        assert type(changed) is type(value)
+        assert changed == ("changed",) + tuple(value[1:])
+        assert type(value)(**value._asdict()) == value
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda value: pickle.loads(pickle.dumps(value))])
+    def test_copy_and_pickle(self, name, duplicate):
+        value = RECORDS[name][0]()
+        twin = duplicate(value)
+        assert type(twin) is type(value) and twin == value
+
+
+def outcome(convert, text):
+    """The value ``convert(text)`` returns, or the class and message it raises."""
+    try:
+        return convert(text)
+    except Exception as exc:  # the exception is what is compared
+        return type(exc), str(exc)
+
+
+class TestAsFraction:
+    """A string reads exactly as Fraction(str) reads it."""
+
+    @pytest.mark.parametrize("text", [" 2 ", "+3", "\u0663", "\u00b2", "1_0", "1__0", "_1", "",
+                                      "-", "0x1", "1e3", "-7/3", "0" * 7 + "42",
+                                      "9" * 4300, "1" + "0" * 4300])
+    def test_fixed_strings(self, text):
+        expected = outcome(Fraction, text)
+        value = outcome(as_fraction, text)
+        assert value == expected and type(value) is type(expected)
+
+    def test_a_string_past_the_digit_limit_raises_as_fraction_does(self):
+        text = "1" + "0" * 4300
+        assert outcome(as_fraction, text)[0] is ValueError
+        assert outcome(as_fraction, text) == outcome(Fraction, text)
+
+    @given(st.text(alphabet="0179\u0663\u00b2_ +-/.e", max_size=8))
+    def test_strings_over_a_small_alphabet(self, text):
+        expected = outcome(Fraction, text)
+        value = outcome(as_fraction, text)
+        assert value == expected and type(value) is type(expected)
