@@ -4,16 +4,16 @@ Over a curve, the real Neron-Severi space of a flag bundle with quotient
 dimensions r_1 < ... < r_nu has rank nu + 1, with basis the pullbacks
 O_1, ..., O_nu of the tautological classes of the Grassmann bundles
 Gr_{r_i}(E) together with the fiber class L (pullback of a degree-one line
-bundle on the base).  The cone is simplicial, and one sign law decides it:
-sum_i x_i * O_i + y * L is nef iff
+bundle on the base).  The nef cone is simplicial: ray i is the primitive
+vector (..., u_i, ..., v_i) on (p_delta * e_i, -theta(r_i)), with theta the
+threshold invariant of the (stabilized) type and p_delta the Frobenius
+normalization (1 in characteristic zero), and the last ray is L.  A class
+sum_i x_i * O_i + y * L is nef iff its coordinates in the ray basis are >= 0:
 
-    every x_i >= 0   and   p_delta * y + sum_i theta(r_i) * x_i >= 0,
+    every x_i >= 0   and   y - sum_i v_i * x_i / u_i >= 0,
 
-where theta is the threshold invariant of the (stabilized) type and p_delta
-the Frobenius normalization (1 in characteristic zero).  A Grassmann bundle
-is the case nu = 1, with basis O(1) and L.  Rays and verdicts are integer
-arithmetic on numerators and denominators; ``Fraction`` values appear only as
-fields of the returned descriptions.
+read off the rays a cone holds, in integers.  A Grassmann bundle is the case
+nu = 1, with basis O(1) and L.  ``Fraction`` values appear only in the results.
 """
 
 from __future__ import annotations
@@ -82,20 +82,6 @@ class ConeDescriptionGr(NamedTuple):
     p_delta: int
 
 
-def _theta_ray(pd: int, num: int, den: int) -> tuple[int, int]:
-    """Primitive (u, v) on the ray through (pd, -num/den), den > 0:
-    (pd*den, -num) divided by their gcd."""
-    u = pd * den
-    g = math.gcd(u, num)
-    return u // g, -num // g
-
-
-def _law(pd: int, y: Fraction, num: int, den: int) -> int:
-    """The numerator of p_delta*y + num/den over the positive denominator
-    y_d*den (den > 0): an integer with its sign."""
-    return pd * y.numerator * den + num * y.denominator
-
-
 _FIBER_RAY = RayGr(0, 1)
 
 
@@ -107,22 +93,26 @@ def grassmann_nef_cone(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> Cone
     """
     _, num, den = _theta_parts(h, r)
     pd = ctx.p_delta
-    ray = RayGr(*_theta_ray(pd, num, den))
+    u = pd * den
+    g = math.gcd(u, num)
+    ray = RayGr(u // g, -num // g)
     return tuple.__new__(ConeDescriptionGr, (_FIBER_RAY, ray, Fraction(num, den), pd))
 
 
 def is_nef_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
-    """Exact nef test; boundary classes count as nef."""
-    x, t = c.x, cone.theta_used
-    return x.numerator >= 0 and _law(cone.p_delta, c.y, t.numerator * x.numerator,
-                                     t.denominator * x.denominator) >= 0
+    """Exact nef test, boundary included: x >= 0 and u * y - v * x >= 0 for the theta ray (u, v)."""
+    xn, xd = c.x.as_integer_ratio()
+    yn, yd = c.y.as_integer_ratio()
+    u, v = cone.theta_ray
+    return xn >= 0 and u * yn * xd - v * xn * yd >= 0
 
 
 def is_ample_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
-    """Strict interior of the nef cone."""
-    x, t = c.x, cone.theta_used
-    return x.numerator > 0 and _law(cone.p_delta, c.y, t.numerator * x.numerator,
-                                    t.denominator * x.denominator) > 0
+    """Strict interior of the nef cone: x > 0 and u * y - v * x > 0."""
+    xn, xd = c.x.as_integer_ratio()
+    yn, yd = c.y.as_integer_ratio()
+    u, v = cone.theta_ray
+    return xn > 0 and u * yn * xd - v * xn * yd > 0
 
 
 class FlagType(_checked_tuple("FlagType", [("quotient_dims", tuple)])):
@@ -157,6 +147,8 @@ class NSClassFlag(_checked_tuple("NSClassFlag", [("x", tuple), ("y", Fraction)])
     __slots__ = ()
 
     def __new__(cls, x: Iterable[Fraction | int | str], y: Fraction | int | str) -> "NSClassFlag":
+        if isinstance(x, (str, bytes)):
+            raise TypeError(f"x must be an iterable of rationals, not {type(x).__name__}")
         return tuple.__new__(cls, (tuple(as_fraction(v) for v in x), as_fraction(y)))
 
 
@@ -187,26 +179,30 @@ def flag_nef_cone(h: HNType, fl: FlagType, ctx: FieldContext = CHAR_ZERO) -> Con
     rays, thetas = [], []
     for i, r_i in enumerate(fl.quotient_dims):
         _, num, den = _theta_parts(h, r_i)
-        u, v = _theta_ray(pd, num, den)
-        rays.append((0,) * i + (u,) + (0,) * (nu - 1 - i) + (v,))
+        u = pd * den
+        g = math.gcd(u, num)
+        rays.append((0,) * i + (u // g,) + (0,) * (nu - 1 - i) + (-num // g,))
         thetas.append(Fraction(num, den))
     rays.append((0,) * nu + (1,))
     return tuple.__new__(ConeDescriptionFlag, (fl, tuple(rays), tuple(thetas), pd))
 
 
 def is_nef_flag(c: NSClassFlag, cone: ConeDescriptionFlag) -> bool:
-    """Exact nef test in the flag lattice."""
+    """Exact nef test in the flag lattice: every x_i >= 0 and
+    y - sum_i v_i * x_i / u_i >= 0 for the rays (..., u_i, ..., v_i)."""
     if len(c.x) != cone.flag.nu:
         raise DimensionMismatchError(
             f"class has {len(c.x)} tautological coordinates, cone expects {cone.flag.nu}"
         )
-    if any(xi.numerator < 0 for xi in c.x):
-        return False
-    num, den = 0, 1  # sum_i theta_i * x_i
-    for t, x in zip(cone.thetas_used, c.x):
-        d = t.denominator * x.denominator
-        num, den = num * d + t.numerator * x.numerator * den, den * d
-    return _law(cone.p_delta, c.y, num, den) >= 0
+    num, den = 0, 1  # sum_i v_i * x_i / u_i, over den > 0
+    for i, (x, ray) in enumerate(zip(c.x, cone.rays)):
+        n, d = x.as_integer_ratio()
+        if n < 0:
+            return False
+        d *= ray[i]
+        num, den = num * d + ray[-1] * n * den, den * d
+    yn, yd = c.y.as_integer_ratio()
+    return yn * den - num * yd >= 0
 
 
 def pullback_to_flag(i: int, c: NSClassGr, fl: FlagType) -> NSClassFlag:

@@ -29,11 +29,11 @@ class PositivityClass(enum.Enum):
         """Class of the tautological line bundle whose threshold invariant
         is ``theta_value``, or has it as numerator over a positive
         denominator: the sign decides."""
-        if theta_value.numerator > 0:
-            return cls.AMPLE
-        if theta_value.numerator == 0:
-            return cls.NEF_NOT_AMPLE
-        return cls.NOT_NEF
+        n = theta_value.numerator
+        return _AMPLE if n > 0 else _NEF_NOT_AMPLE if n == 0 else _NOT_NEF
+
+
+_AMPLE, _NEF_NOT_AMPLE, _NOT_NEF = PositivityClass
 
 
 def classify_tautological(h: HNType, r: int) -> PositivityClass:
@@ -70,5 +70,6 @@ def anticanonical_is_nef(h: HNType, r: int) -> bool:
     slope of the bottom r ranks, which equals mu for a single piece and lies
     below it otherwise.
     """
-    _require_quotient_rank(h.rank, r)
+    if type(r) is not int or not 0 < r < h.rank:  # an exact int in range skips the check
+        _require_quotient_rank(h.rank, r)
     return len(h.pieces) == 1

@@ -1,5 +1,6 @@
 import importlib
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -60,3 +61,17 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(module, "_block_table", counting)
     return built
+
+
+@pytest.fixture
+def fraction_reads(monkeypatch):
+    """The name of every read of the ``Fraction.numerator`` and
+    ``.denominator`` properties made while the test runs, in order."""
+    reads = []
+    for name in ("numerator", "denominator"):
+        def counting(value, name=name, read=getattr(Fraction, name).fget):
+            reads.append(name)
+            return read(value)
+
+        monkeypatch.setattr(Fraction, name, property(counting))
+    return reads

@@ -10,7 +10,14 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from flagnef import HNType, make_hn_type
+from flagnef import (
+    ConeDescriptionFlag,
+    ConeDescriptionGr,
+    HNType,
+    NSClassFlag,
+    NSClassGr,
+    make_hn_type,
+)
 from flagnef.hn import Polygon
 
 
@@ -40,6 +47,61 @@ def brute_blocks(h: HNType, r: int) -> list[tuple]:
             rank = math.prod(math.comb(p.rank, k) for p, k in zip(h.pieces, a))
             slope_sum = sum(k * p.slope for k, p in zip(a, h.pieces))
             out.append((a, rank, rank * slope_sum, slope_sum))
+    return out
+
+
+def _law(pd: int, y: Fraction, num: int, den: int) -> int:
+    """The numerator of p_delta*y + num/den over the positive denominator
+    y_d*den (den > 0): an integer with its sign."""
+    return pd * y.numerator * den + num * y.denominator
+
+
+def reference_nef_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
+    """Reference nef test from the sign law, read off ``theta_used`` and
+    ``p_delta``: x >= 0 and p_delta * y + theta * x >= 0."""
+    x, t = c.x, cone.theta_used
+    return x.numerator >= 0 and _law(cone.p_delta, c.y, t.numerator * x.numerator,
+                                     t.denominator * x.denominator) >= 0
+
+
+def reference_ample_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
+    """Reference ample test: both inequalities of ``reference_nef_gr`` strict."""
+    x, t = c.x, cone.theta_used
+    return x.numerator > 0 and _law(cone.p_delta, c.y, t.numerator * x.numerator,
+                                    t.denominator * x.denominator) > 0
+
+
+def reference_nef_flag(c: NSClassFlag, cone: ConeDescriptionFlag) -> bool:
+    """Reference flag nef test from the sign law: every x_i >= 0 and
+    p_delta * y + sum_i theta_i * x_i >= 0, with the sum folded into one
+    integer fraction."""
+    assert len(c.x) == cone.flag.nu
+    if any(xi.numerator < 0 for xi in c.x):
+        return False
+    num, den = 0, 1  # sum_i theta_i * x_i
+    for t, x in zip(cone.thetas_used, c.x):
+        d = t.denominator * x.denominator
+        num, den = num * d + t.numerator * x.numerator * den, den * d
+    return _law(cone.p_delta, c.y, num, den) >= 0
+
+
+def probe_classes(rays) -> list[tuple]:
+    """Coordinates (x_1, ..., x_nu, y) that probe a simplicial cone with
+    the given rays (the fiber ray last): every generator, their sum, the
+    points 1/7 to either side of each ray (in y for a theta ray, in x_1 for
+    the fiber ray), a class with x_1 = -1 and a large y, and zero."""
+    nu = len(rays) - 1
+    step = Fraction(1, 7)
+    out = [tuple(ray) for ray in rays]
+    out.append(tuple(map(sum, zip(*rays))))
+    for k, ray in enumerate(rays):
+        slot = -1 if k < nu else 0
+        for sign in (1, -1):
+            moved = list(ray)
+            moved[slot] += sign * step
+            out.append(tuple(moved))
+    out.append((-1,) + (0,) * (nu - 1) + (10**6,))
+    out.append((0,) * (nu + 1))
     return out
 
 

@@ -26,7 +26,14 @@ from flagnef import (
     pullback_to_flag,
     theta,
 )
-from helpers import hn_types_with_r, random_hn_type
+from helpers import (
+    hn_types_with_r,
+    probe_classes,
+    random_hn_type,
+    reference_ample_gr,
+    reference_nef_flag,
+    reference_nef_gr,
+)
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=7)
 
@@ -180,6 +187,66 @@ class TestIntegerKernels:
         assert is_nef_flag(NSClassFlag(tuple(xs), y), cone) == expected
 
 
+class TestRayBasisMembership:
+    """The tests read a cone's integer rays; the sign law over theta_used
+    and p_delta is kept as the reference in ``helpers``."""
+
+    CONTEXTS = (CHAR_ZERO, FieldContext(2, 1), FieldContext(3, 2))
+
+    def test_agrees_with_the_sign_law_on_the_corpus(self, corpus):
+        """Every corpus type at every r, in three field contexts, with the
+        Grassmann cone and the flag {1, r, n - 1}: the verdicts match the
+        reference, and a cone whose theta_used and p_delta are replaced by
+        wrong values gets the same verdicts, since its rays decide.  A
+        verdict depends only on the class and the cone, so each distinct
+        cone is probed once."""
+        mismatches, seen = [], set()
+        for h in corpus:
+            for r in range(1, h.rank):
+                fl = FlagType(tuple(sorted({1, r, h.rank - 1})))
+                for ctx in self.CONTEXTS:
+                    cone = grassmann_nef_cone(h, r, ctx)
+                    if cone not in seen:
+                        seen.add(cone)
+                        wrong = cone._replace(theta_used=cone.theta_used + 1,
+                                              p_delta=cone.p_delta + 1)
+                        for x, y in probe_classes([cone.theta_ray, cone.fiber_ray]):
+                            c = NSClassGr(x, y)
+                            expected = reference_nef_gr(c, cone), reference_ample_gr(c, cone)
+                            for judged in (cone, wrong):
+                                if (is_nef_gr(c, judged), is_ample_gr(c, judged)) != expected:
+                                    mismatches.append((h, r, ctx, c, judged))
+                    cone = flag_nef_cone(h, fl, ctx)
+                    if cone not in seen:
+                        seen.add(cone)
+                        wrong = cone._replace(thetas_used=tuple(t + 1 for t in cone.thetas_used),
+                                              p_delta=cone.p_delta + 1)
+                        for *xs, y in probe_classes(cone.rays):
+                            c = NSClassFlag(xs, y)
+                            expected = reference_nef_flag(c, cone)
+                            for judged in (cone, wrong):
+                                if is_nef_flag(c, judged) != expected:
+                                    mismatches.append((h, fl, ctx, c, judged))
+        assert len(corpus) == 6064 and len(seen) > 10_000
+        assert mismatches == []
+
+    def test_reads_no_fraction_property(self, fraction_reads):
+        """Each rational of the class is read once with as_integer_ratio;
+        no Fraction.numerator or .denominator property is read."""
+        h = make_hn_type([(1, 3), (2, 1), (1, -2)])
+        cone = grassmann_nef_cone(h, 2, FieldContext(3, 1))
+        flag_cone = flag_nef_cone(h, FlagType((1, 2, 3)), FieldContext(3, 1))
+        classes = [NSClassGr(Fraction(1, 2), Fraction(-5, 3)), NSClassGr(-1, 4), NSClassGr(2, 9)]
+        flag_classes = [NSClassFlag((1, Fraction(2, 3), 0), Fraction(-7, 2)),
+                        NSClassFlag((1, -1, 0), 9), NSClassFlag((1, 0, 2), 9)]
+        fraction_reads.clear()
+        verdicts = [(is_nef_gr(c, cone), is_ample_gr(c, cone)) for c in classes]
+        verdicts += [is_nef_flag(c, flag_cone) for c in flag_classes]
+        assert fraction_reads == []
+        assert verdicts == [(False, False), (False, False), (True, True), False, False, True]
+        assert Fraction(1, 2).numerator == 1 and fraction_reads == ["numerator"]
+
+
 class TestFlagType:
     def test_must_increase(self):
         with pytest.raises(InvalidFlagTypeError):
@@ -255,6 +322,23 @@ class TestFlagMembership:
         cone = flag_nef_cone(h, FlagType((1, 2)))
         with pytest.raises(DimensionMismatchError):
             is_nef_flag(NSClassFlag((Fraction(1),), Fraction(0)), cone)
+
+    def test_dimension_mismatch_comes_before_any_sign_verdict(self):
+        """A class of the wrong length is rejected even when a negative
+        coordinate alone would decide 'not nef'."""
+        cone = flag_nef_cone(make_hn_type([(1, 2), (1, 1), (1, 0)]), FlagType((1, 2)))
+        for xs in ((-1,), (-1, 0, 0), (0, 0, -1), (-1, -1, -1)):
+            with pytest.raises(DimensionMismatchError) as info:
+                is_nef_flag(NSClassFlag(xs, 5), cone)
+            assert str(info.value) == f"class has {len(xs)} tautological coordinates, cone expects 2"
+
+    @pytest.mark.parametrize("x", ["12", "-1", "", b"12"], ids=["digits", "minus", "empty", "bytes"])
+    def test_class_coordinates_cannot_be_a_string(self, x):
+        """A string is not read character by character: "12" used to become
+        x = (1, 2), and "-1" failed inside Fraction."""
+        with pytest.raises(TypeError) as info:
+            NSClassFlag(x, 0)
+        assert str(info.value) == f"x must be an iterable of rationals, not {type(x).__name__}"
 
 
 class TestPullbackToFlag:

@@ -19,6 +19,7 @@ from flagnef import (
     PositivityClass,
     QuotientRankOutOfRangeError,
     VaBundle,
+    anticanonical_is_nef,
     classify_tautological,
     enumerate_va,
     grassmann_nef_cone,
@@ -114,6 +115,9 @@ class TestTheta:
 
         h = make_hn_type([(1, 1), (2, -1)])
         assert theta(h, True) == theta(h, 1) and theta(h, Rank(2)) == theta(h, 2)
+        one_piece = make_hn_type([(3, 1)])
+        assert anticanonical_is_nef(h, True) is anticanonical_is_nef(h, Rank(2)) is False
+        assert anticanonical_is_nef(one_piece, True) is anticanonical_is_nef(one_piece, Rank(2)) is True
         for r, error, message in [
             (0, QuotientRankOutOfRangeError, "quotient dimension must satisfy 1 <= r <= 2, got 0"),
             (-1, QuotientRankOutOfRangeError, "quotient dimension must satisfy 1 <= r <= 2, got -1"),
@@ -125,7 +129,8 @@ class TestTheta:
             (Fraction(1), TypeError, "quotient dimension r must be an integer"),
             ("1", TypeError, "quotient dimension r must be an integer"),
         ]:
-            for read in (theta, threshold_index, classify_tautological, grassmann_nef_cone):
+            for read in (theta, threshold_index, classify_tautological, grassmann_nef_cone,
+                         anticanonical_is_nef):
                 with pytest.raises(error) as info:
                     read(h, r)
                 assert type(info.value) is error and str(info.value) == message
