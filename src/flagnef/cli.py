@@ -39,6 +39,7 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 _CORPUS = {"max_rank": 6, "max_abs_degree": 4}
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # one encoder for every JSON report
 
 READ_LIMIT = 2**20  # bytes of one @file argument
 ORACLE_LIMIT = 4_000_000  # theta._oracle_steps of the largest row an oracle-check --bundle builds
@@ -49,8 +50,9 @@ def _parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
+        num, _, den = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1))
         except ValueError:  # beyond the int/str conversion limit
             pass
     raise ParseError(f"{where}: expected an integer or 'num/den' string, got {value!r}")
@@ -98,7 +100,7 @@ def _read_arg(value: str) -> str:
 
 
 def _plain_int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:  # json.loads gives no int subclass but bool
         raise ParseError(f"{where} must be an integer, got {value!r}")
     return value
 
@@ -142,7 +144,7 @@ def _parse_bundle_data(data: Any) -> tuple[HNType, FieldContext, dict]:
             raise ParseError("pieces must be a list of [rank, degree] pairs")
         pairs = [(_plain_int(p[0], "piece rank"), _plain_int(p[1], "piece degree")) for p in raw]
         h = _validated(make_hn_type, pairs)
-        echo: dict = {"pieces": [[p.rank, p.degree] for p in h.pieces]}
+        echo: dict = {"pieces": [list(p) for p in h.pieces]}
     else:
         raw = data["splitting"]
         if not isinstance(raw, list):
@@ -207,10 +209,6 @@ class _Option(NamedTuple):
     parse: Callable[[Any], tuple[dict, Any]]
     spec: dict
 
-    @property
-    def dest(self) -> str:
-        return self.spec.get("dest", self.flag[2:])
-
 
 _BUNDLE_HELP = "bundle spec: inline JSON or @file"
 _BUNDLE = _Option("--bundle", _bundle, {"required": True, "help": _BUNDLE_HELP})
@@ -239,7 +237,7 @@ def _text(value: Any) -> str:
 def _aligned(result: dict) -> str:
     """The default layout: one aligned "key  value" line per result field."""
     width = max(len(k) for k in result)
-    return "".join(f"{k:<{width}}  {_text(v)}\n" for k, v in result.items())
+    return "".join(f"{k.ljust(width)}  {_text(v)}\n" for k, v in result.items())
 
 
 class _Names(dict):
@@ -252,11 +250,14 @@ class _Names(dict):
 
 def _va_table(result: dict) -> str:
     name = _Names().__getitem__
-    rows = [("composition", "rank", "degree", "slope_sum")]
-    rows += [(_ray_str(e["composition"], name), str(e["rank"]), str(e["degree"]), e["slope_sum"])
-             for e in result["va"]]
-    w0, w1, w2 = (max(map(len, column)) for column in list(zip(*rows))[:3])
-    return "".join([f"{c:<{w0}}  {k:<{w1}}  {d:<{w2}}  {s}\n" for c, k, d, s in rows])
+    va = result["va"]
+    comps = ["composition"] + [_ray_str(e["composition"], name) for e in va]
+    ranks = ["rank"] + [str(e["rank"]) for e in va]
+    degrees = ["degree"] + [str(e["degree"]) for e in va]
+    sums = ["slope_sum"] + [e["slope_sum"] for e in va]
+    w0, w1, w2 = max(map(len, comps)), max(map(len, ranks)), max(map(len, degrees))
+    return "".join([f"{c.ljust(w0)}  {k.ljust(w1)}  {d.ljust(w2)}  {s}\n"
+                    for c, k, d, s in zip(comps, ranks, degrees, sums)])
 
 
 class _Command(NamedTuple):
@@ -264,6 +265,8 @@ class _Command(NamedTuple):
     options: tuple[_Option, ...]  # in the order of the report's "input"
     compute: Callable[[SimpleNamespace], dict]
     layout: Callable[[dict], str]
+    dests: dict[str, str]  # flag -> argparse dest, in option order
+    required: tuple[str, ...]  # the required flags
 
 
 # The command table, keyed by the report's "command".  Compute functions
@@ -276,7 +279,9 @@ _GROUP_HELP = {"cone": "nef cone extremal rays", "member": "nef / ample membersh
 def _command(name: str, help: str, *options: _Option, layout: Callable[[dict], str] = _aligned):
     """Declare subcommand ``name``; the decorated function is its compute."""
     def declare(compute: Callable[[SimpleNamespace], dict]) -> Callable:
-        _COMMANDS[name] = _Command(help, options, compute, layout)
+        dests = {opt.flag: opt.spec.get("dest", opt.flag[2:]) for opt in options}
+        required = tuple(opt.flag for opt in options if opt.spec.get("required"))
+        _COMMANDS[name] = _Command(help, options, compute, layout, dests, required)
         return compute
     return declare
 
@@ -324,8 +329,8 @@ def _member_flag(a: SimpleNamespace) -> dict:
           layout=_va_table)
 def _vabundles(a: SimpleNamespace) -> dict:
     blocks = enumerate_va(a.h, a.r)
-    va = [{"composition": list(b.composition), "rank": b.rank, "degree": b.degree,
-           "slope_sum": str(b.slope_sum)} for b in blocks]
+    va = [{"composition": list(comp), "rank": k, "degree": d, "slope_sum": str(s)}
+          for comp, k, d, s in blocks]
     # the least block slope sum is theta: one bisect, not a comparison per block
     return {"count": len(blocks), "min_slope_sum": str(theta(a.h, a.r).theta), "va": va}
 
@@ -377,24 +382,24 @@ def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
     name = " ".join(head)
     if name not in _COMMANDS or " " in head[0]:
         return None
-    options = {opt.flag: opt for opt in _COMMANDS[name].options}
+    command = _COMMANDS[name]
+    dests = command.dests
     given: dict[str, str] = {}  # flag -> value, in argv order
     as_json = False
     i = len(head)
     while i < len(argv):
         if argv[i] == "--json" and not as_json:
             as_json, i = True, i + 1
-        elif (argv[i] in options and argv[i] not in given and i + 1 < len(argv)
+        elif (argv[i] in dests and argv[i] not in given and i + 1 < len(argv)
               and not argv[i + 1].startswith("-")):
             given[argv[i]], i = argv[i + 1], i + 2
         else:
             return None
-    missing = [flag for flag, opt in options.items()
-               if opt.spec.get("required") and flag not in given]
+    missing = [flag for flag in command.required if flag not in given]
     if missing:
         raise ParseError(f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(name=name, json=as_json,
-                           **{opt.dest: given.get(flag) for flag, opt in options.items()})
+                           **{dest: given.get(flag) for flag, dest in dests.items()})
 
 
 @functools.cache
@@ -434,7 +439,7 @@ def render_report(report: dict, mode: str = "text") -> str:
     """Render a report.  JSON mode is a compact single document whose bytes
     are stable across runs; text mode is aligned human-readable columns."""
     if mode == "json":
-        return json.dumps(report, separators=(",", ":")) + "\n"
+        return _encode(report) + "\n"
     if mode != "text":
         raise ValueError(f"unknown render mode {mode!r}")
     command = _COMMANDS.get(report["command"])
@@ -455,8 +460,8 @@ def run_command(argv: Sequence[str], stdout: TextIO | None = None,
         args = _plain_args(argv) or build_parser().parse_args(list(argv), SimpleNamespace())
         command = _COMMANDS[args.name]
         args.input, args.stderr = {}, err
-        for opt in command.options:
-            raw = getattr(args, opt.dest)
+        for opt, dest in zip(command.options, command.dests.values()):
+            raw = getattr(args, dest)
             if raw is not None:
                 attrs, args.input[opt.flag[2:]] = opt.parse(raw)
                 vars(args).update(attrs)

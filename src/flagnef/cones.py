@@ -99,11 +99,20 @@ def grassmann_nef_cone(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> Cone
     return tuple.__new__(ConeDescriptionGr, (_FIBER_RAY, ray, Fraction(num, den), pd))
 
 
+def _not_a_ray(ray: tuple[int, ...], i: int) -> ValueError:
+    """The error for a hand-built cone whose ray has entry i <= 0: no nef-cone ray does."""
+    shown = ", ".join(map(_shown, ray))
+    return ValueError(f"({shown}) is not a nef-cone ray: its entry {i + 1} must be positive")
+
+
 def is_nef_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
-    """Exact nef test, boundary included: x >= 0 and u * y - v * x >= 0 for the theta ray (u, v)."""
+    """Exact nef test, boundary included: x >= 0 and u * y - v * x >= 0 for the theta ray (u, v).
+    A theta ray with u <= 0 raises ValueError."""
     xn, xd = c.x.as_integer_ratio()
     yn, yd = c.y.as_integer_ratio()
     u, v = cone.theta_ray
+    if u <= 0:
+        raise _not_a_ray(cone.theta_ray, 0)
     return xn >= 0 and u * yn * xd - v * xn * yd >= 0
 
 
@@ -112,6 +121,8 @@ def is_ample_gr(c: NSClassGr, cone: ConeDescriptionGr) -> bool:
     xn, xd = c.x.as_integer_ratio()
     yn, yd = c.y.as_integer_ratio()
     u, v = cone.theta_ray
+    if u <= 0:
+        raise _not_a_ray(cone.theta_ray, 0)
     return xn > 0 and u * yn * xd - v * xn * yd > 0
 
 
@@ -189,11 +200,18 @@ def flag_nef_cone(h: HNType, fl: FlagType, ctx: FieldContext = CHAR_ZERO) -> Con
 
 def is_nef_flag(c: NSClassFlag, cone: ConeDescriptionFlag) -> bool:
     """Exact nef test in the flag lattice: every x_i >= 0 and
-    y - sum_i v_i * x_i / u_i >= 0 for the rays (..., u_i, ..., v_i)."""
-    if len(c.x) != cone.flag.nu:
+    y - sum_i v_i * x_i / u_i >= 0 for the rays (..., u_i, ..., v_i).  A cone
+    without nu + 1 rays, or with a ray whose u_i <= 0, raises ValueError."""
+    nu = cone.flag.nu
+    if len(c.x) != nu:
         raise DimensionMismatchError(
-            f"class has {len(c.x)} tautological coordinates, cone expects {cone.flag.nu}"
+            f"class has {len(c.x)} tautological coordinates, cone expects {nu}"
         )
+    if len(cone.rays) != nu + 1:
+        raise ValueError(f"a flag nef cone has nu + 1 = {nu + 1} rays, got {len(cone.rays)}")
+    for i, ray in enumerate(cone.rays[:nu]):
+        if ray[i] <= 0:
+            raise _not_a_ray(ray, i)
     num, den = 0, 1  # sum_i v_i * x_i / u_i, over den > 0
     for i, (x, ray) in enumerate(zip(c.x, cone.rays)):
         n, d = x.as_integer_ratio()

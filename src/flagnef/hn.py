@@ -43,6 +43,8 @@ from .errors import (
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
     """Coerce ``value`` to an exact rational.  Floats are rejected."""
+    if type(value) is Fraction:  # immutable: no copy
+        return value
     if isinstance(value, str):  # isdecimal(): the digits (Unicode Nd) Fraction reads as \d
         return Fraction(int(value)) if value.isdecimal() else Fraction(value)
     if isinstance(value, float):

@@ -4,6 +4,7 @@ the hypothesis strategies for HN types."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,8 @@ from flagnef import (
     NSClassGr,
     make_hn_type,
 )
+from flagnef.cli import _RATIONAL_RE, _text
+from flagnef.errors import ParseError
 from flagnef.hn import Polygon
 
 
@@ -170,3 +173,44 @@ def hn_types_with_r(draw, max_pieces=4, piece_rank=3, degree_bound=9):
         h = make_hn_type([(2, h.pieces[0].degree)])
     r = draw(st.integers(1, h.rank - 1))
     return h, r
+
+
+def reference_parse_rational(value, where: str) -> Fraction:
+    """Reference CLI rational reader: a string in the "num/den" language goes
+    to ``Fraction`` whole, which parses it a second time."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ValueError:  # beyond the int/str conversion limit
+            pass
+    raise ParseError(f"{where}: expected an integer or 'num/den' string, got {value!r}")
+
+
+def reference_aligned(result: dict) -> str:
+    """Reference default text layout: each "key  value" line padded through
+    a nested width spec."""
+    width = max(len(k) for k in result)
+    return "".join(f"{k:<{width}}  {_text(v)}\n" for k, v in result.items())
+
+
+def reference_va_table(result: dict) -> str:
+    """Reference vabundles table: rows of cells, columns by transposition,
+    each cell padded through a nested width spec."""
+    rows = [("composition", "rank", "degree", "slope_sum")]
+    rows += [("(" + ",".join(map(str, e["composition"])) + ")", str(e["rank"]), str(e["degree"]),
+              e["slope_sum"]) for e in result["va"]]
+    w0, w1, w2 = (max(map(len, column)) for column in list(zip(*rows))[:3])
+    return "".join([f"{c:<{w0}}  {k:<{w1}}  {d:<{w2}}  {s}\n" for c, k, d, s in rows])
+
+
+def reference_render(report: dict, as_json: bool) -> str:
+    """Reference rendering of a CLI report: ``json.dumps`` with compact
+    separators, or the command's text layout."""
+    if as_json:
+        return json.dumps(report, separators=(",", ":")) + "\n"
+    result = report["result"]
+    if report["command"] == "classify":
+        return result["class"] + "\n"
+    return (reference_va_table if report["command"] == "vabundles" else reference_aligned)(result)

@@ -24,6 +24,7 @@ from flagnef.cli import (
 )
 from flagnef.theta import _oracle_steps, _oracle_top
 from helpers import merge_by_slope
+from test_golden import REPORTS, USAGE_ERRORS
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -785,8 +786,16 @@ def _token_argvs(draw):
     return argv
 
 
+def _golden_examples(test):
+    """Every golden argv is an explicit example of ``test`` too."""
+    for argv in [*REPORTS.values(), *USAGE_ERRORS.values()]:
+        test = example(list(argv))(test)
+    return test
+
+
 class TestPlainReader:
     @settings(max_examples=400, deadline=None)
+    @_golden_examples
     @given(_token_argvs())
     @example(["theta", "--r", "1_0"])
     @example(["member", "gr", "--bundle", _B])

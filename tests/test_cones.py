@@ -246,6 +246,44 @@ class TestRayBasisMembership:
         assert verdicts == [(False, False), (False, False), (True, True), False, False, True]
         assert Fraction(1, 2).numerator == 1 and fraction_reads == ["numerator"]
 
+    @pytest.mark.parametrize("ray", [RayGr(0, 1), RayGr(0, -1), (-1, 3), (0, 0)])
+    def test_a_theta_ray_off_the_nef_cone_is_refused(self, ray):
+        """A hand-built cone whose theta ray has u <= 0 is no nef cone:
+        both tests name the ray in a ValueError before any verdict, even
+        where x < 0 alone would decide."""
+        cone = grassmann_nef_cone(make_hn_type([(1, 1), (1, 0)]), 1)._replace(theta_ray=ray)
+        message = f"({ray[0]}, {ray[1]}) is not a nef-cone ray: its entry 1 must be positive"
+        for c in (NSClassGr(0, -1), NSClassGr(-1, 0), NSClassGr(1, 1)):
+            for test in (is_nef_gr, is_ample_gr):
+                with pytest.raises(ValueError) as info:
+                    test(c, cone)
+                assert str(info.value) == message
+
+    @pytest.mark.parametrize("rays,message", [
+        (((0, 0, 0), (0, 1, -1), (0, 0, 1)), "(0, 0, 0) is not a nef-cone ray: its entry 1"),
+        (((1, 0, 0), (0, -2, 3), (0, 0, 1)), "(0, -2, 3) is not a nef-cone ray: its entry 2"),
+    ])
+    def test_a_flag_ray_off_the_nef_cone_is_refused(self, rays, message):
+        """The same for a flag cone whose ray i has u_i <= 0, checked for
+        every ray before the first coordinate is judged."""
+        h = make_hn_type([(1, 2), (1, 1), (1, 0)])
+        cone = flag_nef_cone(h, FlagType((1, 2)))._replace(rays=rays)
+        for xs, y in (((0, 0), -1), ((-1, 0), 5), ((1, 1), 1)):
+            with pytest.raises(ValueError) as info:
+                is_nef_flag(NSClassFlag(xs, y), cone)
+            assert str(info.value) == message + " must be positive"
+
+    @pytest.mark.parametrize("rays", [((1, 0, 0), (0, 0, 1)),
+                                      ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1))])
+    def test_a_flag_cone_without_nu_plus_one_rays_is_refused(self, rays):
+        """With too few rays the sign loop would pair x_2 with the fiber ray
+        (u_2 = 0) and judge x = (0, 0), y = -1 nef; any count but nu + 1 raises."""
+        h = make_hn_type([(1, 2), (1, 1), (1, 0)])
+        cone = flag_nef_cone(h, FlagType((1, 2)))._replace(rays=rays)
+        with pytest.raises(ValueError) as info:
+            is_nef_flag(NSClassFlag((0, 0), -1), cone)
+        assert str(info.value) == f"a flag nef cone has nu + 1 = 3 rays, got {len(rays)}"
+
 
 class TestFlagType:
     def test_must_increase(self):

@@ -341,3 +341,17 @@ class TestAsFraction:
         expected = outcome(Fraction, text)
         value = outcome(as_fraction, text)
         assert value == expected and type(value) is type(expected)
+
+
+class _Rational(Fraction):
+    pass
+
+
+def test_as_fraction_returns_an_exact_fraction_itself():
+    """A Fraction is immutable, so it is not copied; a subclass still
+    becomes a plain Fraction of the same value."""
+    f = Fraction(-7, 3)
+    assert as_fraction(f) is f
+    sub = _Rational(5, 2)
+    value = as_fraction(sub)
+    assert type(value) is Fraction and value == sub and value is not sub

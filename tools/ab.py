@@ -1,0 +1,112 @@
+"""Interleaved in-process A/B of two flagnef checkouts on one benchmark workload.
+
+    python3 tools/ab.py PARENT CHANGE --workload cli_mix --seed 21 --rounds 5
+
+Imports flagnef from PARENT/src twice (A, and A' as the A/A control) and from
+CHANGE/src once (B), as separate module sets swapped into ``sys.modules``.
+Each round draws a fresh op pool from bench/workloads.py, as bench/run.py
+does, and runs it on the three sides in rotating order, with the garbage
+collector off inside each pass.  Prints the B/A and A'/A ratios of summed op
+time per round, their medians, and the ratios of the p50 of per-op medians.
+Every op's output must have the same repr on all sides; exit status 1 if not.
+"""
+
+import argparse
+import gc
+import importlib
+import os
+import random
+import statistics
+import sys
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+sys.dont_write_bytecode = True  # bench/ and the checkouts are only read
+import workloads  # noqa: E402
+
+
+def load(root, modules):
+    """A fresh import of ``modules`` from ``root``/src, taken out of sys.modules."""
+    src = os.path.join(os.path.abspath(root), "src")
+    sys.path.insert(0, src)
+    try:
+        for name in modules:
+            importlib.import_module(name)
+    finally:
+        sys.path.remove(src)
+    mods = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "flagnef"}
+    for name in mods:
+        del sys.modules[name]
+    if not mods["flagnef"].__file__.startswith(src + os.sep):
+        raise RuntimeError(f"imported flagnef from {mods['flagnef'].__file__}, not from {src}")
+    return mods
+
+
+def run_pass(wl, mods, pool):
+    """Op times and output digests of one whole pass on one side."""
+    sys.modules.update(mods)
+    fl = mods["flagnef"]
+    gc.collect()
+    gc.disable()
+    try:
+        state, times, digests = wl.begin_pass(fl), [], []
+        for x in pool:
+            start = perf_counter()
+            out = wl.op(fl, x, state)
+            times.append(perf_counter() - start)
+            digests.append(hash(repr(out)))
+    finally:
+        gc.enable()
+    return times, digests
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True, choices=workloads.NAMES)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--smoke", action="store_true", help="tiny inputs")
+    args = parser.parse_args(argv)
+    wl = workloads.make(args.workload, args.smoke)
+    names = ["A", "B", "A'"]
+    mods = {side: load(root, wl.modules)
+            for side, root in zip(names, (args.parent, args.change, args.parent))}
+
+    def pool_of(tag):
+        shape = random.Random(f"{args.workload}:{args.seed}")
+        return wl.inputs(shape, random.Random(f"{args.workload}:{args.seed}:{tag}"), args.smoke)
+
+    first = wl.warm_up_input(pool_of("warm-up"))
+    for side in names:
+        sys.modules.update(mods[side])
+        wl.warm_up(mods[side]["flagnef"], first)
+    by_op = {side: {} for side in names}
+    ratios = {"B": [], "A'": []}
+    differ = 0
+    for k in range(args.rounds):
+        pool, total, digests = pool_of(k), {}, []
+        for side in names[k % 3:] + names[:k % 3]:
+            times, outs = run_pass(wl, mods[side], pool)
+            total[side] = sum(times)
+            digests.append(outs)
+            for i, t in enumerate(times):
+                by_op[side].setdefault(i, []).append(t)
+        differ += sum(len(set(ops)) > 1 for ops in zip(*digests))
+        for side in ratios:
+            ratios[side].append(total[side] / total["A"])
+        line = ", ".join(f"{side}/A {ratios[side][-1]:.4f}" for side in ratios)
+        print(f"round {k + 1}: {len(pool)} ops, A {total['A']:.4f} s, {line}")
+    p50 = {side: statistics.median(map(statistics.median, by_op[side].values())) for side in names}
+    print(f"A: p50 of per-op medians {p50['A'] * 1e6:.1f} us")
+    for side in ratios:
+        print(f"{side}/A: total median {statistics.median(ratios[side]):.4f}, "
+              f"p50 of per-op medians {p50[side] / p50['A']:.4f} ({p50[side] * 1e6:.1f} us)")
+    print(f"outputs differing: {differ}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
