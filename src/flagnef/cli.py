@@ -1,7 +1,8 @@
 """Command-line front end: JSON bundle specs in, exact rational reports out.
 
-All arithmetic happens in the core modules; this layer parses, dispatches and
-renders.  Each subcommand is declared once, in the command table
+All arithmetic happens in the core modules, which also bound their own work;
+this layer parses, dispatches and renders, and bounds only its own input.
+Each subcommand is declared once, in the command table
 ``_COMMANDS``: its help, its options, the function computing its result and
 its text layout.  A request in plain form (the command's words, then each
 option at most once as ``--flag value``) is read straight from the table;
@@ -30,7 +31,7 @@ from .corpus import iter_hn_types
 from .errors import FlagnefError, LimitExceededError, ParseError, ValidationError
 from .hn import CHAR_ZERO, DIGIT_LIMIT, FieldContext, HNType, hn_from_splitting_type, make_hn_type
 from .positivity import PositivityClass
-from .theta import _oracle_steps, _oracle_top, enumerate_va, theta, theta_oracle
+from .theta import enumerate_va, theta, theta_oracle
 
 if TYPE_CHECKING:
     import argparse
@@ -42,7 +43,6 @@ _CORPUS = {"max_rank": 6, "max_abs_degree": 4}
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # one encoder for every JSON report
 
 READ_LIMIT = 2**20  # bytes of one @file argument
-ORACLE_LIMIT = 4_000_000  # theta._oracle_steps of the largest row an oracle-check --bundle builds
 FLAG_LIMIT = 2000  # quotient dimensions of one --flag: the flag cone has nu rays of nu + 1 entries
 
 
@@ -347,10 +347,8 @@ def _oracle_check(a: SimpleNamespace) -> dict:
         types: Any = iter_hn_types(**_CORPUS)
         a.input["corpus"] = dict(_CORPUS)
     else:
-        top = a.h.rank - 1 if a.r is None else a.r  # the oracle's largest row runs to _oracle_top
-        if 0 < top < a.h.rank and _oracle_steps(a.h, _oracle_top(a.h, top)) > ORACLE_LIMIT:
-            raise LimitExceededError(f"oracle-check would take more than {ORACLE_LIMIT} oracle "
-                                     "steps on this bundle; give a smaller --r")
+        if a.r is None and a.h.rank > 1:  # build, or refuse, the whole row before any check
+            theta_oracle(a.h, a.h.rank - 1)
         types = [a.h]
     n_types = checks = mismatches = 0
     for h in types:

@@ -15,10 +15,9 @@ On the quotient polygon (``HNType.polygon``) the tail below piece t is one
 vertex and piece t the edge above it, so the closed form is one bisection
 (``_theta_parts``, the one integer read the cones and the trichotomy share).
 :func:`theta_oracle` recomputes the minimum from the ranks and slopes alone,
-so that the two check each other (``_oracle_top`` names the row a call
-builds and ``_oracle_steps`` bounds its cost, for the CLI's limit), and
-:func:`enumerate_va` lists the blocks of the r-th exterior power, whose
-least slope is theta.
+so that the two check each other, and refuses a row of more than
+``ORACLE_LIMIT`` steps; :func:`enumerate_va` lists the blocks of the r-th
+exterior power, whose least slope is theta.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import QuotientRankOutOfRangeError
+from .errors import LimitExceededError, QuotientRankOutOfRangeError
 from .hn import HNType, _shown
 
 
@@ -248,9 +247,8 @@ def _oracle_row(ranks: tuple[int, ...], weights: tuple[int, ...], top: int) -> l
 
 
 def _oracle_steps(h: HNType, top: int) -> int:
-    """An upper bound on the inner steps of :func:`_oracle_row` up to
-    ``top``: each piece relaxes at most ``top`` entries for each of its
-    min(r_i, top) unit counts."""
+    """An upper bound on the inner steps of :func:`_oracle_row` up to ``top``:
+    each piece relaxes at most ``top`` entries for each of its min(r_i, top) unit counts."""
     return top * sum(min(p.rank, top) for p in h.pieces)
 
 
@@ -260,14 +258,15 @@ def _oracle_steps(h: HNType, top: int) -> int:
 # the row to r = 1 23 us and to r = 2 32 us, so a type asked for a second r
 # already gains.
 _WHOLE_ROW_STEPS = 256
+ORACLE_LIMIT = 4_000_000  # _oracle_steps of the largest row theta_oracle builds
 
 
 def _oracle_top(h: HNType, r: int, top: int = 0) -> int:
     """Where :func:`theta_oracle` ends the row it builds for r, when the
     type's row ends at top < r: at rank - 1 when that whole row takes at
     most ``_WHOLE_ROW_STEPS`` steps, and otherwise at
-    ``min(rank - 1, max(r, 2 * top))``, so that a large type's row doubles
-    and a first call builds only to r."""
+    ``min(rank - 1, max(r, 2 * top))``, so that a large type's row doubles,
+    a first call builds only to r, and every r together take O(units * rank) steps."""
     last = sum(p.rank for p in h.pieces) - 1
     return last if _oracle_steps(h, last) <= _WHOLE_ROW_STEPS else min(last, max(r, 2 * top))
 
@@ -275,16 +274,19 @@ def _oracle_top(h: HNType, r: int, top: int = 0) -> int:
 def theta_oracle(h: HNType, r: int) -> Fraction:
     """Exhaustive minimum of slope sums over every composition, read from
     the type's oracle row and slope table.  A call past the row's end
-    rebuilds the row to :func:`_oracle_top`: a small type builds its whole
-    row once, a large one doubles it, and every r of a type together take
-    O(units * rank) steps.  It reads only the ranks and slopes, not the
-    polygon, and does not assume the slope order, so it shares no logic
-    with the closed form in :func:`theta`; the two are meant to check each
-    other."""
+    rebuilds the row to :func:`_oracle_top`, or raises LimitExceededError
+    first if that row takes more than ``ORACLE_LIMIT`` steps.  It reads only
+    the ranks and slopes, not the polygon, and does not assume the slope
+    order, so it shares no logic with the closed form in :func:`theta`; the
+    two are meant to check each other."""
     ranks, weights, den, best, slopes, _, _ = _oracle_data(h)
     _require_quotient_rank(sum(ranks), r)
     if r >= len(best):
-        best = _oracle_row(ranks, weights, _oracle_top(h, r, len(best) - 1))
+        top = _oracle_top(h, r, len(best) - 1)
+        if _oracle_steps(h, top) > ORACLE_LIMIT:
+            raise LimitExceededError(f"oracle-check would take more than {ORACLE_LIMIT} oracle "
+                                     "steps on this bundle; give a smaller --r")
+        best = _oracle_row(ranks, weights, top)
         # the slope table, block table and marker ride along from the slot as it is now
         object.__setattr__(h, "_oracle", (ranks, weights, den, best) + h._oracle[4:])
     num = best[r]

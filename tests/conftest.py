@@ -1,10 +1,20 @@
+import contextlib
 import importlib
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from flagnef.corpus import iter_hn_types
+
+# Hypothesis imports libcst when it explains a failing example, and libcst
+# subclasses the deprecated mypy_extensions.TypedDict at import.  Under
+# ``-W error`` that warning, raised in a reporting hook, ends the run in an
+# INTERNALERROR, so the module is imported here once with it ignored.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):  # libcst is optional
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    importlib.import_module("libcst.metadata.type_inference_provider")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import io
 import json
 import os
@@ -15,18 +17,18 @@ import flagnef.cli as cli
 from flagnef import CHAR_ZERO, FieldContext, ValidationError, make_hn_type
 from flagnef.cli import (
     FLAG_LIMIT,
-    ORACLE_LIMIT,
     READ_LIMIT,
     build_parser,
     main,
     render_report,
     run_command,
 )
-from flagnef.theta import _oracle_steps, _oracle_top
+from flagnef.theta import ORACLE_LIMIT, _oracle_steps, _oracle_top
 from helpers import merge_by_slope
 from test_golden import REPORTS, USAGE_ERRORS
 
 GOLDEN = Path(__file__).parent / "golden"
+THETA = importlib.import_module("flagnef.theta")  # the module; flagnef.theta is the function
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -466,7 +468,7 @@ class TestCheckLimit:
         steps, at most the 256-step floor, so every r would build it and is
         refused; pieces of rank 30 and 1 (a whole row of 30 * 31 steps) build
         the row to r, r * (r + 1) steps, so r = 1..13 are answered."""
-        monkeypatch.setattr(cli, "ORACLE_LIMIT", 200)
+        monkeypatch.setattr(THETA, "ORACLE_LIMIT", 200)
         for bundle, answered in (('{"pieces":[[15,1],[1,0]]}', []),
                                  ('{"pieces":[[30,1],[1,0]]}', list(range(1, 14)))):
             h, _ = parse_bundle(bundle)
@@ -493,22 +495,51 @@ class TestCheckLimit:
             assert _oracle_steps(h, r) <= ORACLE_LIMIT < _oracle_steps(h, h.rank - 1)
 
     def test_the_limit_counts_oracle_steps(self, monkeypatch):
-        monkeypatch.setattr(cli, "ORACLE_LIMIT", 12)  # every r: 3 * (1 + 2 + 1)
+        monkeypatch.setattr(THETA, "ORACLE_LIMIT", 12)  # every r: 3 * (1 + 2 + 1)
         report, code, _, _ = invoke(["oracle-check", "--bundle", self.SPLIT])
         assert (code, report["result"]["checks"]) == (0, 3)
-        monkeypatch.setattr(cli, "ORACLE_LIMIT", 11)
+        monkeypatch.setattr(THETA, "ORACLE_LIMIT", 11)
         _, code, _, err = invoke(["oracle-check", "--bundle", self.SPLIT])
         assert code == 1
         assert "more than 11 oracle steps" in err
         # SPLIT's whole row is cheap, so every r builds it; on pieces of rank
         # 1, 20, 1 (a whole row of 21 * 22 steps) a single r builds the row to r
         wide = '{"pieces":[[1,1],[20,0],[1,-1]]}'
-        monkeypatch.setattr(cli, "ORACLE_LIMIT", 3)  # r = 1: 1 * (1 + 1 + 1), each rank capped at r
+        monkeypatch.setattr(THETA, "ORACLE_LIMIT", 3)  # r = 1: 1 * (1 + 1 + 1), each rank capped at r
         report, code, _, _ = invoke(["oracle-check", "--bundle", wide, "--r", "1"])
         assert (code, report["result"]["checks"]) == (0, 1)
         _, code, _, err = invoke(["oracle-check", "--bundle", wide, "--r", "2"])
         assert code == 1  # r = 2: 2 * (1 + 2 + 1)
         assert "more than 3 oracle steps" in err
+
+    def test_every_r_builds_one_whole_row_first(self, row_builds):
+        """Past the 256-step floor (a whole row of 30 * 31 steps) an every-r
+        request asks for r = rank - 1 first, so it builds, or refuses, the
+        whole row once, and reads every r from it."""
+        report, code, _, _ = invoke(["oracle-check", "--bundle", '{"pieces":[[30,1],[1,0]]}'])
+        assert (code, report["result"]["checks"]) == (0, 30)
+        assert row_builds == [30]
+
+    def test_a_request_plans_its_row_once(self, monkeypatch):
+        plan, plans = THETA._oracle_top, []
+
+        def counting(*args):
+            plans.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(THETA, "_oracle_top", counting)
+        for argv, expected in ((["--r", "1"], 0), ([], 1)):
+            plans.clear()
+            _, code, _, _ = invoke(["oracle-check", "--bundle", self.HUGE, *argv])
+            assert (code, len(plans)) == (expected, 1)
+
+    def test_the_limit_is_the_oracles_own(self):
+        """The CLI neither keeps the limit nor plans the oracle's row."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module == "theta" for a in node.names]
+        assert imported and not [name for name in imported if name.startswith("_")]
+        assert not hasattr(cli, "ORACLE_LIMIT")
 
 
 class TestFlagLimit:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from flagnef import (
     FieldContext,
     HNPiece,
+    LimitExceededError,
     PositivityClass,
     QuotientRankOutOfRangeError,
     VaBundle,
@@ -532,6 +533,77 @@ class TestOracleSteps:
         h = make_hn_type([(18, 1)])  # 17 * 17 = 289 steps
         assert [_oracle_top(h, r) for r in (1, 12, 13, 17)] == [1, 12, 13, 17]
         assert [_oracle_top(h, r, top) for r, top in ((5, 4), (5, 2), (12, 10))] == [8, 5, 17]
+
+
+class TestOracleLimit:
+    """theta_oracle refuses a row build of more than ORACLE_LIMIT steps where
+    it plans the build, before any work, and pays nothing on a call answered
+    from a row it has already built."""
+
+    THETA = importlib.import_module("flagnef.theta")  # flagnef.theta is the function
+    REFUSED = ("oracle-check would take more than {} oracle steps on this bundle; "
+               "give a smaller --r")
+
+    def test_a_large_r_is_refused_at_once(self, row_builds):
+        h = make_hn_type([[10**8, 1], [10**8, 0]])  # to r = 10**5: 10**5 * 2 * 10**5 steps
+        start = time.perf_counter()
+        with pytest.raises(LimitExceededError) as info:
+            theta_oracle(h, 10**5)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == self.REFUSED.format(self.THETA.ORACLE_LIMIT)
+        assert row_builds == [] and h._oracle[3] == [0]
+        assert theta_oracle(h, 1) == 0 and row_builds == [1]
+
+    def test_the_bound_is_the_steps_of_the_row_built(self, monkeypatch, row_builds):
+        """Pieces of rank 100 and 1: the whole row is past the 256-step floor,
+        so r = 10 builds the row to 10, 10 * (10 + 1) steps, and r = 11 then
+        doubles it to 20, 20 * (20 + 1) steps."""
+        pieces = [[100, 1], [1, 0]]
+        monkeypatch.setattr(self.THETA, "ORACLE_LIMIT", 109)
+        with pytest.raises(LimitExceededError, match="more than 109 oracle steps"):
+            theta_oracle(make_hn_type(pieces), 10)
+        assert row_builds == []
+        monkeypatch.setattr(self.THETA, "ORACLE_LIMIT", 110)
+        h = make_hn_type(pieces)
+        assert theta_oracle(h, 10) == Fraction(9, 100) and row_builds == [10]
+        monkeypatch.setattr(self.THETA, "ORACLE_LIMIT", 419)
+        with pytest.raises(LimitExceededError, match="more than 419 oracle steps"):
+            theta_oracle(h, 11)
+        assert row_builds == [10] and len(h._oracle[3]) == 11
+        monkeypatch.setattr(self.THETA, "ORACLE_LIMIT", 420)
+        assert theta_oracle(h, 11) == Fraction(1, 10) and row_builds == [10, 20]
+
+    def test_a_built_row_answers_past_the_limit(self, monkeypatch, row_builds):
+        h = make_hn_type([(1, 2), (2, 1), (1, 0)])
+        assert theta_oracle(h, 1) == 0 and row_builds == [3]
+        monkeypatch.setattr(self.THETA, "ORACLE_LIMIT", 0)
+        assert [theta_oracle(h, r) for r in (3, 1, 2)] == [1, 0, Fraction(1, 2)]
+        assert row_builds == [3]
+        with pytest.raises(LimitExceededError, match="more than 0 oracle steps"):
+            theta_oracle(make_hn_type([(1, 2), (2, 1), (1, 0)]), 1)
+
+
+class TestBottomFillNesting:
+    """The flag cone rests on nested bottom fills: the composition theta(h, r)
+    names through (t, s), the pieces below t whole and s units of piece t,
+    is componentwise at most the one at any r' > r."""
+
+    @staticmethod
+    def bottom_fill(h, r):
+        bd = theta(h, r)
+        a = [0] * (bd.t - 1) + [bd.s] + [p.rank for p in h.pieces[bd.t:]]
+        assert all(0 <= k <= p.rank for k, p in zip(a, h.pieces)) and sum(a) == r
+        assert sum(k * p.slope for k, p in zip(a, h.pieces)) == bd.theta
+        return a
+
+    def test_every_corpus_type_at_every_pair_of_r(self, corpus):
+        pairs = 0
+        for h in corpus:
+            fills = [self.bottom_fill(h, r) for r in range(1, h.rank)]
+            for low, high in itertools.combinations(fills, 2):
+                assert all(x <= y for x, y in zip(low, high)), (h.pieces, low, high)
+                pairs += 1
+        assert pairs > 30_000
 
 
 class TestTransformIdentities:
