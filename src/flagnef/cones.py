@@ -26,9 +26,15 @@ from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidFlagTypeError,
+    LimitExceededError,
 )
 from .hn import CHAR_ZERO, FieldContext, HNType, _checked_tuple, _shown, as_fraction
-from .theta import _theta_parts
+from .theta import _theta_parts, _theta_table
+
+# Quotient dimensions of one flag cone, which has nu rays of nu + 1 entries:
+# at nu = 2000 the rays hold 4 million entries, built in about 0.2 s (CPython
+# 3.11, 2-vCPU VM).  cli.FLAG_LIMIT bounds a --flag to the same length.
+NU_LIMIT = 2000
 
 
 def primitive_ray(coords: Iterable[Fraction | int]) -> tuple[int, ...]:
@@ -92,11 +98,17 @@ def grassmann_nef_cone(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> Cone
     with (p, delta); the tautological-side ray then sits at (p**delta, -theta).
     """
     _, num, den = _theta_parts(h, r)
+    table = getattr(h, "_theta", None)
+    if table is None:
+        table = _theta_table(h)
+    value = table.get(r)
+    if value is None:
+        table[r] = value = Fraction(num, den)
     pd = ctx.p_delta
     u = pd * den
     g = math.gcd(u, num)
     ray = RayGr(u // g, -num // g)
-    return tuple.__new__(ConeDescriptionGr, (_FIBER_RAY, ray, Fraction(num, den), pd))
+    return tuple.__new__(ConeDescriptionGr, (_FIBER_RAY, ray, value, pd))
 
 
 def _not_a_ray(ray: tuple[int, ...], i: int) -> ValueError:
@@ -178,22 +190,32 @@ def flag_nef_cone(h: HNType, fl: FlagType, ctx: FieldContext = CHAR_ZERO) -> Con
 
     Ray i is the primitive vector on (p_delta * e_i, -theta_i) where theta_i
     is the invariant at quotient dimension r_i; the last ray is the fiber
-    class.
+    class.  A flag of more than ``NU_LIMIT`` quotient dimensions raises
+    LimitExceededError before any ray is built.
     """
     if fl.quotient_dims[-1] >= h.rank:
         raise InvalidFlagTypeError(
             f"largest quotient dimension {_shown(fl.quotient_dims[-1])} must be < rank "
             f"{_shown(h.rank)}"
         )
-    pd = ctx.p_delta
     nu = fl.nu
+    if nu > NU_LIMIT:
+        raise LimitExceededError(f"a flag nef cone takes at most {NU_LIMIT} quotient dimensions, "
+                                 f"got {nu}")
+    pd = ctx.p_delta
+    table = getattr(h, "_theta", None)
+    if table is None:
+        table = _theta_table(h)
     rays, thetas = [], []
     for i, r_i in enumerate(fl.quotient_dims):
         _, num, den = _theta_parts(h, r_i)
         u = pd * den
         g = math.gcd(u, num)
         rays.append((0,) * i + (u // g,) + (0,) * (nu - 1 - i) + (-num // g,))
-        thetas.append(Fraction(num, den))
+        value = table.get(r_i)
+        if value is None:
+            table[r_i] = value = Fraction(num, den)
+        thetas.append(value)
     rays.append((0,) * nu + (1,))
     return tuple.__new__(ConeDescriptionFlag, (fl, tuple(rays), tuple(thetas), pd))
 

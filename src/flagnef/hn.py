@@ -10,18 +10,21 @@ Each type carries its quotient polygon, built with it (the
 Harder-Narasimhan, or Shatz, polygon read from below), which the threshold
 invariant and both nef cones read in integer arithmetic.
 
-Values do not change once built, except a type's private ``_oracle`` slot,
-which :mod:`flagnef.theta` fills as it is used; equality, hashing, ``repr``
-and pickling never read it.  A fill is idempotent: it rebinds the slot to a
-new tuple instead of mutating one, or adds to the slot's slope table an
-entry whose value its key fixes.  A row or block table that a concurrent
-fill drops is only built again, and a bound block table never changes (its
-callers get copies), so every operation, a pure function, is safe for
-unrestricted concurrent use.  Pieces and field contexts are named
-tuples whose fields are exactly their constructors' checked arguments; they
-also compare equal to plain tuples of those fields.  A checked value has one
-constructor, which runs every check in one pass; a record that checks nothing
-(``Polygon``, the records of theta and cones) is packed with ``tuple.__new__``.
+Values do not change once built, except two private slots of a type, filled
+as they are used and never read by equality, hashing, ``repr``, copying or
+pickling: ``_oracle``, the oracle's row, slopes and blocks, and ``_theta``,
+the theta(r) and piece slopes that theta and the nef cones return.  Neither
+reads the other, so the closed form and the oracle still check each other.
+A fill is idempotent: it binds a new tuple instead of mutating one, or adds
+to a table an entry whose value its key fixes.  A table that a concurrent
+fill drops is only built again (equal, if not the same object), and a bound
+block table never changes (its callers get copies), so every operation, a
+pure function, is safe for unrestricted concurrent use.  Pieces and field
+contexts are named tuples whose fields are exactly their constructors'
+checked arguments; they also compare equal to plain tuples of those fields.
+A checked value has one constructor, which runs every check in one pass; a
+record that checks nothing (``Polygon``, the records of theta and cones) is
+packed with ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -186,9 +189,11 @@ class Polygon(NamedTuple):
 class HNType:
     """Ordered graded pieces with strictly decreasing slopes, and their
     quotient polygon.  ``_oracle`` stays unset until the oracle or the
-    block walk reads the type; after a second block walk it keeps all blocks."""
+    block walk reads the type; after a second block walk it keeps all blocks.
+    ``_theta`` stays unset until theta or a nef cone reads the type; it then
+    keeps each theta(r) asked for under r, and each slope mu_t under -t."""
 
-    __slots__ = ("pieces", "polygon", "_oracle")
+    __slots__ = ("pieces", "polygon", "_oracle", "_theta")
     pieces: tuple[HNPiece, ...]
     polygon: Polygon
 

@@ -84,19 +84,37 @@ def _theta_parts(h: HNType, r: int) -> tuple[int, int, int]:
     return k, (r - tail_rank) * (degrees[k] - tail_degree) + tail_degree * r_t, r_t
 
 
+def _theta_table(h: HNType) -> dict[int, Fraction]:
+    """A new table for h's ``_theta`` slot, filled as :func:`theta` and the
+    cones read it: theta(r) under r >= 1 and the slope of piece t under -t.
+    It shares nothing with the ``_oracle`` slot."""
+    table: dict[int, Fraction] = {}
+    object.__setattr__(h, "_theta", table)
+    return table
+
+
 def threshold_index(h: HNType, r: int) -> int:
     """Largest 1-based index t such that r_t + ... + r_d >= r."""
     return len(h.pieces) + 1 - _theta_parts(h, r)[0]
 
 
 def theta(h: HNType, r: int) -> ThetaBreakdown:
-    """Evaluate the invariant with its full breakdown."""
+    """Evaluate the invariant with its full breakdown.  Its ``theta`` and
+    ``mu_t`` are the type's kept values, the same objects on every call."""
     k, num, r_t = _theta_parts(h, r)
     ranks, degrees = h.polygon
     tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
-    return tuple.__new__(ThetaBreakdown, (r, len(ranks) - k, tail_rank, tail_degree, r - tail_rank,
-                                          Fraction(degrees[k] - tail_degree, r_t),
-                                          Fraction(num, r_t)))
+    t = len(ranks) - k
+    table = getattr(h, "_theta", None)
+    if table is None:
+        table = _theta_table(h)
+    value = table.get(r)
+    if value is None:
+        table[r] = value = Fraction(num, r_t)
+    mu = table.get(-t)
+    if mu is None:
+        table[-t] = mu = Fraction(degrees[k] - tail_degree, r_t)
+    return tuple.__new__(ThetaBreakdown, (r, t, tail_rank, tail_degree, r - tail_rank, mu, value))
 
 
 def _bounded_compositions(caps: tuple[int, ...], weights: tuple[int, ...],
@@ -261,31 +279,38 @@ _WHOLE_ROW_STEPS = 256
 ORACLE_LIMIT = 4_000_000  # _oracle_steps of the largest row theta_oracle builds
 
 
-def _oracle_top(h: HNType, r: int, top: int = 0) -> int:
+def _oracle_top(h: HNType, r: int, top: int = 0) -> tuple[int, int]:
     """Where :func:`theta_oracle` ends the row it builds for r, when the
-    type's row ends at top < r: at rank - 1 when that whole row takes at
-    most ``_WHOLE_ROW_STEPS`` steps, and otherwise at
-    ``min(rank - 1, max(r, 2 * top))``, so that a large type's row doubles,
-    a first call builds only to r, and every r together take O(units * rank) steps."""
+    type's row ends at top < r, and that row's ``_oracle_steps``: at
+    rank - 1 when that whole row takes at most ``_WHOLE_ROW_STEPS`` steps,
+    and otherwise at ``min(rank - 1, max(r, 2 * top))``, so that a large
+    type's row doubles, a first call builds only to r, and every r together
+    take O(units * rank) steps."""
     last = sum(p.rank for p in h.pieces) - 1
-    return last if _oracle_steps(h, last) <= _WHOLE_ROW_STEPS else min(last, max(r, 2 * top))
+    steps = _oracle_steps(h, last)
+    if steps <= _WHOLE_ROW_STEPS:
+        return last, steps
+    top = min(last, max(r, 2 * top))
+    return top, steps if top == last else _oracle_steps(h, top)
 
 
 def theta_oracle(h: HNType, r: int) -> Fraction:
     """Exhaustive minimum of slope sums over every composition, read from
     the type's oracle row and slope table.  A call past the row's end
     rebuilds the row to :func:`_oracle_top`, or raises LimitExceededError
-    first if that row takes more than ``ORACLE_LIMIT`` steps.  It reads only
-    the ranks and slopes, not the polygon, and does not assume the slope
-    order, so it shares no logic with the closed form in :func:`theta`; the
-    two are meant to check each other."""
+    first, naming r, the row's end and its steps, if that row takes more
+    than ``ORACLE_LIMIT`` steps.  It reads only the ranks and slopes, not
+    the polygon or the ``_theta`` slot, and does not assume the slope order,
+    so it shares no logic with the closed form in :func:`theta`; the two are
+    meant to check each other."""
     ranks, weights, den, best, slopes, _, _ = _oracle_data(h)
     _require_quotient_rank(sum(ranks), r)
     if r >= len(best):
-        top = _oracle_top(h, r, len(best) - 1)
-        if _oracle_steps(h, top) > ORACLE_LIMIT:
-            raise LimitExceededError(f"oracle-check would take more than {ORACLE_LIMIT} oracle "
-                                     "steps on this bundle; give a smaller --r")
+        top, steps = _oracle_top(h, r, len(best) - 1)
+        if steps > ORACLE_LIMIT:
+            raise LimitExceededError(f"theta_oracle at r = {_shown(r)} would build its row to "
+                                     f"{_shown(top)} in {_shown(steps)} steps, more than "
+                                     f"{ORACLE_LIMIT} oracle steps")
         best = _oracle_row(ranks, weights, top)
         # the slope table, block table and marker ride along from the slot as it is now
         object.__setattr__(h, "_oracle", (ranks, weights, den, best) + h._oracle[4:])

@@ -19,3 +19,15 @@ def test_a_checkout_against_itself(workload):
     assert [line.split(":")[0] for line in lines] == ["round 1", "round 2", "A", "B/A", "A'/A",
                                                        "outputs differing"]
     assert lines[-1] == "outputs differing: 0"
+
+
+def test_the_collector_switch_adds_its_time_per_side():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT),
+                           "--workload", "sweep", "--smoke", "--rounds", "2", "--gc"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "round 1", "round 2", "A", "B/A", "A'/A", "A collector", "B collector", "A' collector",
+        "outputs differing"]
+    assert lines[-1] == "outputs differing: 0"

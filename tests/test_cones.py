@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from flagnef import (
     FlagType,
     IndexOutOfRangeError,
     InvalidFlagTypeError,
+    LimitExceededError,
     NSClassFlag,
     NSClassGr,
     QuotientRankOutOfRangeError,
@@ -26,6 +28,8 @@ from flagnef import (
     pullback_to_flag,
     theta,
 )
+from flagnef import cli, cones
+from flagnef.cones import NU_LIMIT
 from helpers import (
     hn_types_with_r,
     probe_classes,
@@ -335,6 +339,38 @@ class TestFlagCone:
         # thetas 0 and 1; rays (2,0,0)->(1,0,0) and (0,2,-1)
         assert cone.p_delta == 2
         assert cone.rays == ((1, 0, 0), (0, 2, -1), (0, 0, 1))
+
+
+class TestFlagConeLimit:
+    """flag_nef_cone refuses a flag of more than NU_LIMIT quotient
+    dimensions before any ray is built."""
+
+    def test_a_long_flag_is_refused_at_once(self, monkeypatch):
+        def no_ray(h, r):  # a ray reads theta first; fail before 10**10 entries are built
+            raise AssertionError("a ray was built")
+
+        monkeypatch.setattr(cones, "_theta_parts", no_ray)
+        h, fl = make_hn_type([(10**6, 0)]), FlagType(range(1, 10**5 + 1))
+        start = time.perf_counter()
+        with pytest.raises(LimitExceededError) as info:
+            flag_nef_cone(h, fl)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == (f"a flag nef cone takes at most {NU_LIMIT} quotient "
+                                   "dimensions, got 100000")
+
+    def test_the_limit_is_the_longest_flag_built(self, monkeypatch):
+        monkeypatch.setattr(cones, "NU_LIMIT", 3)
+        h = make_hn_type([(1, 4), (2, 1), (2, 0)])
+        assert len(flag_nef_cone(h, FlagType((1, 2, 4))).rays) == 4
+        with pytest.raises(LimitExceededError, match="at most 3 quotient dimensions, got 4"):
+            flag_nef_cone(h, FlagType((1, 2, 3, 4)))
+
+    def test_an_invalid_flag_is_still_invalid(self):
+        with pytest.raises(InvalidFlagTypeError, match="must be < rank"):
+            flag_nef_cone(make_hn_type([(10, 0)]), FlagType(range(1, NU_LIMIT + 2)))
+
+    def test_the_cli_limit_is_within_the_kernels(self):
+        assert cli.FLAG_LIMIT <= NU_LIMIT
 
 
 class TestFlagMembership:

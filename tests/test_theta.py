@@ -1,7 +1,9 @@
+import copy
 import importlib
 import io
 import itertools
 import math
+import pickle
 import random
 import sys
 import threading
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from flagnef import (
     FieldContext,
+    FlagType,
     HNPiece,
     LimitExceededError,
     PositivityClass,
@@ -23,6 +26,7 @@ from flagnef import (
     anticanonical_is_nef,
     classify_tautological,
     enumerate_va,
+    flag_nef_cone,
     grassmann_nef_cone,
     make_hn_type,
     theta,
@@ -31,7 +35,13 @@ from flagnef import (
 )
 from flagnef.cli import run_command
 from flagnef.corpus import iter_hn_types
-from flagnef.theta import _bounded_compositions, _oracle_steps, _oracle_top, _theta_parts
+from flagnef.theta import (
+    _bounded_compositions,
+    _oracle_data,
+    _oracle_steps,
+    _oracle_top,
+    _theta_parts,
+)
 from helpers import (
     brute_blocks,
     brute_min_slope_sum,
@@ -450,14 +460,16 @@ class TestOracleRow:
 
     def test_threads_sharing_fresh_types(self):
         """Four threads share each fresh type and ask for every r, two
-        ascending and two descending: every answer matches the brute force,
-        whichever row or slope entry another thread put in the slot first."""
+        ascending and two descending: every answer of the oracle, the block
+        walk, theta and the cone matches the brute force, whichever row,
+        slope or theta entry another thread put in a slot first."""
         rng = random.Random(12)
         pieces = [[tuple(p) for p in random_hn_type(rng, max_rank=9).pieces] for _ in range(40)]
         expected = []
         for ps in pieces:
             h = make_hn_type(ps)
-            expected.append([(brute_min_slope_sum(h, r), brute_blocks(h, r)) for r in range(1, h.rank)])
+            expected.append([(m, brute_blocks(h, r), m, m) for r in range(1, h.rank)
+                             for m in [brute_min_slope_sum(h, r)]])
         types = [make_hn_type(ps) for ps in pieces]
         start, errors = threading.Barrier(4, timeout=30), []
 
@@ -467,7 +479,8 @@ class TestOracleRow:
                     start.wait()  # all four race on the unfilled slot
                     rs = range(h.rank - 1, 0, -1) if descending else range(1, h.rank)
                     for r in rs:
-                        got = theta_oracle(h, r), [tuple(b) for b in enumerate_va(h, r)]
+                        got = (theta_oracle(h, r), [tuple(b) for b in enumerate_va(h, r)],
+                               theta(h, r).theta, grassmann_nef_cone(h, r).theta_used)
                         if got != want[r - 1]:
                             errors.append((h, r, got))
             except Exception as exc:  # reported below, in the test's thread
@@ -529,10 +542,34 @@ class TestOracleSteps:
         whole row takes at most 256 steps, else r or twice the old end,
         whichever is larger, and never past rank - 1."""
         h = make_hn_type([(17, 1)])  # the whole row takes 16 * 16 = 256 steps
-        assert [_oracle_top(h, r) for r in (1, 8, 16)] == [16, 16, 16]
+        assert [_oracle_top(h, r) for r in (1, 8, 16)] == [(16, 256)] * 3
         h = make_hn_type([(18, 1)])  # 17 * 17 = 289 steps
-        assert [_oracle_top(h, r) for r in (1, 12, 13, 17)] == [1, 12, 13, 17]
-        assert [_oracle_top(h, r, top) for r, top in ((5, 4), (5, 2), (12, 10))] == [8, 5, 17]
+        assert [_oracle_top(h, r) for r in (1, 12, 13, 17)] == [(1, 1), (12, 144), (13, 169),
+                                                                   (17, 289)]
+        assert [_oracle_top(h, r, top) for r, top in ((5, 4), (5, 2), (12, 10))] == [
+            (8, 64), (5, 25), (17, 289)]
+
+    @pytest.mark.parametrize("pieces", [[(17, 1)], [(18, 1)], [(1, 2), (2, 1), (1, 0)],
+                                        [(30, 1), (1, 0)], [(1, 40 - i) for i in range(40)]])
+    def test_a_plan_counts_the_steps_of_its_row(self, pieces):
+        h = make_hn_type(pieces)
+        for r in range(1, h.rank):
+            for top in (0, r // 2, r - 1):
+                end, steps = _oracle_top(h, r, top)
+                assert steps == _oracle_steps(h, end)
+
+    def test_a_whole_row_build_counts_its_steps_once(self, monkeypatch, row_builds):
+        module = importlib.import_module("flagnef.theta")
+        count, counted = module._oracle_steps, []
+
+        def counting(h, top):
+            counted.append(top)
+            return count(h, top)
+
+        monkeypatch.setattr(module, "_oracle_steps", counting)
+        h = make_hn_type([(1, 2), (2, 1), (1, 0)])  # a whole row of 3 * 4 steps
+        assert theta_oracle(h, 1) == 0
+        assert (row_builds, counted) == ([3], [3])
 
 
 class TestOracleLimit:
@@ -541,8 +578,8 @@ class TestOracleLimit:
     from a row it has already built."""
 
     THETA = importlib.import_module("flagnef.theta")  # flagnef.theta is the function
-    REFUSED = ("oracle-check would take more than {} oracle steps on this bundle; "
-               "give a smaller --r")
+    REFUSED = ("theta_oracle at r = 100000 would build its row to 100000 in 20000000000 steps, "
+               "more than {} oracle steps")
 
     def test_a_large_r_is_refused_at_once(self, row_builds):
         h = make_hn_type([[10**8, 1], [10**8, 0]])  # to r = 10**5: 10**5 * 2 * 10**5 steps
@@ -581,6 +618,95 @@ class TestOracleLimit:
         assert row_builds == [3]
         with pytest.raises(LimitExceededError, match="more than 0 oracle steps"):
             theta_oracle(make_hn_type([(1, 2), (2, 1), (1, 0)]), 1)
+
+
+POISON = Fraction(10**9, 7)
+
+
+class _Poisoned(dict):
+    """A table whose every read answers POISON."""
+
+    def get(self, key, default=None):
+        return POISON
+
+    __getitem__ = get
+
+    def __contains__(self, key):
+        return True
+
+
+class TestThetaTable:
+    """theta and both nef cones return one kept Fraction per (type, r) and one
+    per piece slope, from the type's ``_theta`` slot, which shares nothing
+    with the oracle's ``_oracle`` slot."""
+
+    ORDERS = list(itertools.permutations(("theta", "gr", "flag")))
+
+    @staticmethod
+    def check(h, order, ctx=FieldContext()):
+        """Ask every r of h of theta, the Grassmann cone and the flag cone
+        1..rank-1, in ``order``, twice: each theta(r) is one object, equal
+        to a fresh Fraction, and each mu_t is one object per t, the slope of
+        piece t."""
+        rs, flag = range(1, h.rank), FlagType(tuple(range(1, h.rank)))
+        ask = {"theta": lambda: tuple(theta(h, r).theta for r in rs),
+               "gr": lambda: tuple(grassmann_nef_cone(h, r, ctx).theta_used for r in rs),
+               "flag": lambda: flag_nef_cone(h, flag, ctx).thetas_used}
+        got = [ask[who]() for who in order + order]
+        for r, values in zip(rs, zip(*got)):
+            assert all(v is values[0] for v in values), (h.pieces, r)
+            _, num, r_t = _theta_parts(h, r)
+            assert values[0] == Fraction(num, r_t)
+        mus = {}
+        for r in rs:
+            bd = theta(h, r)
+            assert mus.setdefault(bd.t, bd.mu_t) is bd.mu_t
+            assert bd.mu_t == h.pieces[bd.t - 1].slope
+
+    def test_every_corpus_type_at_every_r(self, corpus):
+        for i, h in enumerate(h for h in corpus if h.rank > 1):
+            self.check(make_hn_type(h.pieces), self.ORDERS[i % len(self.ORDERS)])
+
+    @given(hn_types_with_r(max_pieces=6, piece_rank=4), st.sampled_from(ORDERS),
+           st.sampled_from([FieldContext(), FieldContext(3, 2)]))
+    def test_random_types_in_any_order(self, h_r, order, ctx):
+        self.check(h_r[0], order, ctx)
+
+    def test_a_poisoned_theta_table_leaves_the_oracle_alone(self, corpus):
+        for h in [h for h in corpus if h.rank > 1][::10]:
+            g = make_hn_type(h.pieces)
+            object.__setattr__(g, "_theta", _Poisoned())
+            flag = FlagType(tuple(range(1, g.rank)))
+            for r in range(1, g.rank):
+                assert theta(g, r).theta is theta(g, r).mu_t is POISON  # the table is read
+                assert grassmann_nef_cone(g, r).theta_used is POISON
+                assert theta_oracle(g, r) == brute_min_slope_sum(h, r)
+            assert set(flag_nef_cone(g, flag).thetas_used) <= {POISON}
+
+    def test_a_poisoned_oracle_table_leaves_theta_and_the_cones_alone(self, corpus):
+        for h in [h for h in corpus if h.rank > 1][::10]:
+            g = make_hn_type(h.pieces)
+            _oracle_data(g)
+            object.__setattr__(g, "_oracle", g._oracle[:4] + (_Poisoned(),) + g._oracle[5:])
+            flag = FlagType(tuple(range(1, g.rank)))
+            for r in range(1, g.rank):
+                assert theta_oracle(g, r) is POISON  # the oracle's slope table is read
+                expected = brute_min_slope_sum(h, r)
+                bd = theta(g, r)
+                assert (bd.theta, bd.mu_t) == (expected, h.pieces[bd.t - 1].slope)
+                assert grassmann_nef_cone(g, r).theta_used == expected
+                assert flag_nef_cone(g, flag).thetas_used[r - 1] == expected
+
+    def test_equality_hashing_repr_copy_and_pickle_ignore_the_table(self):
+        pieces = [(1, 2), (2, 1), (1, 0)]
+        h, fresh = make_hn_type(pieces), make_hn_type(pieces)
+        theta(h, 2), flag_nef_cone(h, FlagType((1, 3))), theta_oracle(h, 2)
+        object.__setattr__(h, "_theta", _Poisoned())
+        assert (h == fresh, hash(h), repr(h)) == (True, hash(fresh), repr(fresh))
+        for twin in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+            assert twin == h and getattr(twin, "_theta", None) is None
+            assert theta(twin, 2) == theta(fresh, 2)
+            assert grassmann_nef_cone(twin, 3) == grassmann_nef_cone(fresh, 3)
 
 
 class TestBottomFillNesting:

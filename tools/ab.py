@@ -1,6 +1,7 @@
 """Interleaved in-process A/B of two flagnef checkouts on one benchmark workload.
 
     python3 tools/ab.py PARENT CHANGE --workload cli_mix --seed 21 --rounds 5
+    python3 tools/ab.py PARENT CHANGE --workload sweep --seed 7 --rounds 6 --gc
 
 Imports flagnef from PARENT/src twice (A, and A' as the A/A control) and from
 CHANGE/src once (B), as separate module sets swapped into ``sys.modules``.
@@ -9,6 +10,12 @@ does, and runs it on the three sides in rotating order, with the garbage
 collector off inside each pass.  Prints the B/A and A'/A ratios of summed op
 time per round, their medians, and the ratios of the p50 of per-op medians.
 Every op's output must have the same repr on all sides; exit status 1 if not.
+
+The default, the collector off, suits per-call changes: it takes the
+collector's pauses out of the spread.  ``--gc`` keeps the collector on, as
+bench/run.py does, for changes to what ops allocate; it adds one line per
+side with the collector's time inside the ops, read from ``gc.callbacks``,
+and its share of op time.
 """
 
 import argparse
@@ -43,22 +50,42 @@ def load(root, modules):
     return mods
 
 
-def run_pass(wl, mods, pool):
-    """Op times and output digests of one whole pass on one side."""
+class GcClock:
+    """A ``gc.callbacks`` entry that sums the time of every collection."""
+
+    def __init__(self):
+        self.total = self.start = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self.start = perf_counter()
+        else:
+            self.total += perf_counter() - self.start
+
+
+def run_pass(wl, mods, pool, keep_gc=False):
+    """Op times, output digests and the collector's time inside the ops of
+    one whole pass on one side; the collector is off unless ``keep_gc``."""
     sys.modules.update(mods)
     fl = mods["flagnef"]
     gc.collect()
-    gc.disable()
+    clock = GcClock()
+    gc.callbacks.append(clock)
+    if not keep_gc:
+        gc.disable()
     try:
-        state, times, digests = wl.begin_pass(fl), [], []
+        state, times, digests, in_ops = wl.begin_pass(fl), [], [], 0.0
         for x in pool:
+            before = clock.total
             start = perf_counter()
             out = wl.op(fl, x, state)
             times.append(perf_counter() - start)
+            in_ops += clock.total - before
             digests.append(hash(repr(out)))
     finally:
         gc.enable()
-    return times, digests
+        gc.callbacks.remove(clock)
+    return times, digests, in_ops
 
 
 def main(argv=None):
@@ -69,6 +96,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--smoke", action="store_true", help="tiny inputs")
+    parser.add_argument("--gc", action="store_true",
+                        help="keep the collector on and print its time on each side")
     args = parser.parse_args(argv)
     wl = workloads.make(args.workload, args.smoke)
     names = ["A", "B", "A'"]
@@ -85,12 +114,15 @@ def main(argv=None):
         wl.warm_up(mods[side]["flagnef"], first)
     by_op = {side: {} for side in names}
     ratios = {"B": [], "A'": []}
+    gc_s, op_s = dict.fromkeys(names, 0.0), dict.fromkeys(names, 0.0)
     differ = 0
     for k in range(args.rounds):
         pool, total, digests = pool_of(k), {}, []
         for side in names[k % 3:] + names[:k % 3]:
-            times, outs = run_pass(wl, mods[side], pool)
+            times, outs, in_gc = run_pass(wl, mods[side], pool, args.gc)
             total[side] = sum(times)
+            gc_s[side] += in_gc
+            op_s[side] += total[side]
             digests.append(outs)
             for i, t in enumerate(times):
                 by_op[side].setdefault(i, []).append(t)
@@ -104,6 +136,10 @@ def main(argv=None):
     for side in ratios:
         print(f"{side}/A: total median {statistics.median(ratios[side]):.4f}, "
               f"p50 of per-op medians {p50[side] / p50['A']:.4f} ({p50[side] * 1e6:.1f} us)")
+    if args.gc:
+        for side in names:
+            print(f"{side} collector: {gc_s[side]:.4f} s of {op_s[side]:.4f} s op time "
+                  f"({gc_s[side] / op_s[side]:.1%})")
     print(f"outputs differing: {differ}")
     return 1 if differ else 0
 
