@@ -12,9 +12,10 @@ invariant and both nef cones read in integer arithmetic.
 
 Values do not change once built, except two private slots of a type, filled
 as they are used and never read by equality, hashing, ``repr``, copying or
-pickling: ``_oracle``, the oracle's row, slopes and blocks, and ``_theta``,
-the theta(r) and piece slopes that theta and the nef cones return.  Neither
-reads the other, so the closed form and the oracle still check each other.
+pickling: ``_oracle``, the oracle's row, slopes and, from a second read on,
+blocks, and ``_theta``, the theta(r) and piece slopes that theta and the nef
+cones return.  Neither reads the other, so the closed form and the oracle
+still check each other.
 A fill is idempotent: it binds a new tuple instead of mutating one, or adds
 to a table an entry whose value its key fixes.  A table that a concurrent
 fill drops is only built again (equal, if not the same object), and a bound
@@ -189,7 +190,7 @@ class Polygon(NamedTuple):
 class HNType:
     """Ordered graded pieces with strictly decreasing slopes, and their
     quotient polygon.  ``_oracle`` stays unset until the oracle or the
-    block walk reads the type; after a second block walk it keeps all blocks.
+    block walk reads the type; from a second read on it keeps all blocks.
     ``_theta`` stays unset until theta or a nef cone reads the type; it then
     keeps each theta(r) asked for under r, and each slope mu_t under -t."""
 

@@ -160,25 +160,25 @@ def _bounded_compositions(caps: tuple[int, ...], weights: tuple[int, ...],
 
 
 def _oracle_data(h: HNType) -> tuple[tuple[int, ...], tuple[int, ...], int, list[int],
-                                      dict[int, Fraction], list[list[VaBundle]] | None, bool]:
-    """``(ranks, weights, den, best, slopes, table, asked)`` of h, kept in
-    its ``_oracle`` slot: slope_i = weights[i] / den, so the hot loops stay
-    in integers; ``best`` is the oracle's row (``[0]`` until
+                                      dict[int, Fraction], list[list[VaBundle]] | None]:
+    """``(ranks, weights, den, best, slopes, table)`` of h, kept in its
+    ``_oracle`` slot: slope_i = weights[i] / den, so the hot loops stay in
+    integers; ``best`` is the oracle's row (``[0]`` until
     :func:`theta_oracle` grows it); ``slopes`` maps each slope numerator
     read so far to its ``Fraction(num, den)``, so each slope of a type is
-    built once; :func:`enumerate_va` sets ``asked`` and fills ``table``."""
+    built once; ``table`` is :func:`enumerate_va`'s block table, or None."""
     data = getattr(h, "_oracle", None)
     if data is None:
         ranks = tuple(p.rank for p in h.pieces)
         den = math.lcm(*ranks)
-        data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0], {}, None, False
+        data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0], {}, None
         object.__setattr__(h, "_oracle", data)
     return data
 
 
-# A type keeps the blocks of every r once enumerate_va is asked about a
-# second r, when they number at most this many in all: prod(r_i + 1), the
-# blocks of every r from 0 to rank, at about 200 bytes each (up to 0.9 MB).
+# A type keeps the blocks of every r from its second read by enumerate_va or
+# theta_oracle on, when they number at most this many in all: prod(r_i + 1),
+# the blocks of every r from 0 to rank, at about 200 bytes each (up to 0.9 MB).
 _WHOLE_TABLE_BLOCKS = 4096
 
 
@@ -217,19 +217,18 @@ def _block_table(ranks: tuple[int, ...], weights: tuple[int, ...], den: int,
 
 def enumerate_va(h: HNType, r: int) -> list[VaBundle]:
     """All exterior-power blocks for quotient dimension r, one per
-    composition, in lexicographic order of the composition.  The first call
-    on a type walks r alone; a later one keeps the blocks of every r in the
-    type's slot when they number at most ``_WHOLE_TABLE_BLOCKS``, and from
-    then on each call returns a new list of r's."""
-    ranks, weights, den, _, slopes, table, asked = _oracle_data(h)
+    composition, in lexicographic order of the composition.  A call on an
+    unread type walks r alone; once this or :func:`theta_oracle` has read
+    the type, a call keeps the blocks of every r in its slot when they
+    number at most ``_WHOLE_TABLE_BLOCKS``, and then returns a new list of r's."""
+    data = getattr(h, "_oracle", None)
+    ranks, weights, den, _, slopes, table = data or _oracle_data(h)
     _require_quotient_rank(sum(ranks), r)
-    if table is None and asked and math.prod(c + 1 for c in ranks) <= _WHOLE_TABLE_BLOCKS:
+    if table is None and data and math.prod(c + 1 for c in ranks) <= _WHOLE_TABLE_BLOCKS:
         table = _block_table(ranks, weights, den, slopes)
-        object.__setattr__(h, "_oracle", h._oracle[:5] + (table, True))
+        object.__setattr__(h, "_oracle", h._oracle[:5] + (table,))
     if table is not None:
         return table[r][:]
-    if not asked:
-        object.__setattr__(h, "_oracle", h._oracle[:6] + (True,))
     new = tuple.__new__
     out: list[VaBundle] = []
     for a, rank, num in _bounded_compositions(ranks, weights, r):
@@ -303,7 +302,7 @@ def theta_oracle(h: HNType, r: int) -> Fraction:
     the polygon or the ``_theta`` slot, and does not assume the slope order,
     so it shares no logic with the closed form in :func:`theta`; the two are
     meant to check each other."""
-    ranks, weights, den, best, slopes, _, _ = _oracle_data(h)
+    ranks, weights, den, best, slopes, _ = _oracle_data(h)
     _require_quotient_rank(sum(ranks), r)
     if r >= len(best):
         top, steps = _oracle_top(h, r, len(best) - 1)
@@ -312,7 +311,7 @@ def theta_oracle(h: HNType, r: int) -> Fraction:
                                      f"{_shown(top)} in {_shown(steps)} steps, more than "
                                      f"{ORACLE_LIMIT} oracle steps")
         best = _oracle_row(ranks, weights, top)
-        # the slope table, block table and marker ride along from the slot as it is now
+        # the slope table and block table ride along from the slot as it is now
         object.__setattr__(h, "_oracle", (ranks, weights, den, best) + h._oracle[4:])
     num = best[r]
     value = slopes.get(num)

@@ -36,6 +36,7 @@ from flagnef import (
 from flagnef.cli import run_command
 from flagnef.corpus import iter_hn_types
 from flagnef.theta import (
+    _WHOLE_TABLE_BLOCKS,
     _bounded_compositions,
     _oracle_data,
     _oracle_steps,
@@ -261,27 +262,55 @@ class TestEnumerateVa:
 
 
 class TestBlockTable:
-    """A type asked about a second r keeps the blocks of every r, built in
-    one walk, and answers from them; a single r or a large type does not."""
+    """A type read a second time, by enumerate_va or theta_oracle, keeps the
+    blocks of every r, built in one walk, and answers from them; a single r
+    or a large type does not."""
 
-    def test_every_order_matches_the_first_call_walk(self, table_builds):
+    def test_every_order_matches_the_first_call_walk(self, table_builds, row_builds):
         """Every r of the corpus and of 500 random types of rank <= 12,
-        ascending, descending and shuffled: each answer is the first-call
-        walk on a fresh copy of the type, block for block and in order."""
+        ascending, descending and shuffled, and ascending with theta_oracle
+        asked before each r, as ``verify`` asks: each answer is the
+        first-call walk on a fresh copy of the type, block for block and in
+        order.  After an oracle read the first call builds the table, which
+        shares the oracle's row and slopes."""
         rng = random.Random(15)
         pieces = [[tuple(p) for p in h.pieces] for h in iter_hn_types(6, 4)]
         pieces += [[tuple(p) for p in random_hn_type(rng).pieces] for _ in range(500)]
-        tables = 0
+        tables = rows = 0
         for ps in pieces:
             up = list(range(1, sum(rank for rank, _ in ps)))
             want = {r: enumerate_va(make_hn_type(ps), r) for r in up}
-            for rs in (up, up[::-1], rng.sample(up, len(up))):
+            orders = [(up, False), (up[::-1], False), (rng.sample(up, len(up)), False), (up, True)]
+            for rs, oracle_first in orders:
                 h = make_hn_type(ps)
                 for r in rs:
+                    least = theta_oracle(h, r) if oracle_first else None
                     got = enumerate_va(h, r)
                     assert got == want[r] and all(type(b) is VaBundle for b in got)
-            tables += 3 * (len(up) > 1)
-        assert len(table_builds) == tables > 18000
+                    assert not oracle_first or min(b.slope_sum for b in got) is least
+            tables += 3 * (len(up) > 1) + (len(up) > 0)
+            rows += len(up) > 0  # each of these rows is built whole
+        assert len(table_builds) == tables > 24000 and len(row_builds) == rows
+
+    def test_an_oracle_read_then_one_r_builds_one_table(self, table_builds):
+        h = make_hn_type([(1, 3), (2, 1), (1, 0)])
+        theta_oracle(h, 1)
+        assert [tuple(b) for b in enumerate_va(h, 1)] == brute_blocks(h, 1)
+        assert table_builds == [(1, 2, 1)]
+        for r in (1, 2, 3):
+            assert [tuple(b) for b in enumerate_va(h, r)] == brute_blocks(h, r)
+        assert len(table_builds) == 1
+
+    def test_after_an_oracle_read_the_bound_still_holds(self, table_builds):
+        """The 2**12 blocks of 12 rank-1 pieces sit at the bound and build
+        the table on the first call after an oracle read; 2**13 build none."""
+        assert _WHOLE_TABLE_BLOCKS == 2**12
+        for n in (12, 13):
+            h = make_hn_type([(1, n - i) for i in range(n)])
+            theta_oracle(h, 1)
+            for r in (1, 2):
+                assert [tuple(b) for b in enumerate_va(h, r)] == brute_blocks(h, r)
+                assert table_builds == [(1,) * 12]
 
     def test_the_caller_owns_the_list(self, table_builds):
         h = make_hn_type([(1, 3), (2, 1), (1, 0)])

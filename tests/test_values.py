@@ -66,7 +66,7 @@ VALUES = {
                        "ThetaBreakdown(r=2, t=2, tail_rank=0, tail_degree=0, s=2, "
                        "mu_t=Fraction(-1, 2), theta=Fraction(-1, 1))",
                        ["r", "t", "tail_rank", "tail_degree", "s", "mu_t", "theta"]),
-    "VaBundle": (lambda: enumerate_va(TYPE, 1)[0],
+    "VaBundle": (lambda: enumerate_va(make_hn_type([(1, 1), (2, -1)]), 1)[0],
                  "VaBundle(composition=(0, 1), rank=2, degree=-1, slope_sum=Fraction(-1, 2))",
                  ["composition", "rank", "degree", "slope_sum"]),
     "ConeDescriptionGr": (lambda: grassmann_nef_cone(TYPE, 1, FieldContext(2, 1)),
