@@ -7,6 +7,8 @@ their Harder-Narasimhan graded pieces; in positive characteristic the input
 is the Frobenius-stabilized type together with the pair (p, delta).
 """
 
+from types import ModuleType as _ModuleType
+
 from .cones import (
     ConeDescriptionFlag,
     ConeDescriptionGr,
@@ -64,49 +66,6 @@ from .theta import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHAR_ZERO",
-    "CharZeroContextError",
-    "ConeDescriptionFlag",
-    "ConeDescriptionGr",
-    "DimensionMismatchError",
-    "EmptyTypeError",
-    "FieldContext",
-    "FlagType",
-    "FlagnefError",
-    "HNPiece",
-    "HNType",
-    "IndexOutOfRangeError",
-    "InvalidFieldContextError",
-    "InvalidFlagTypeError",
-    "LimitExceededError",
-    "NSClassFlag",
-    "NSClassGr",
-    "NonDecreasingSlopesError",
-    "NonPositiveCoverDegreeError",
-    "NonPositiveRankError",
-    "ParseError",
-    "PositivityClass",
-    "QuotientRankOutOfRangeError",
-    "RayGr",
-    "ThetaBreakdown",
-    "VaBundle",
-    "ValidationError",
-    "anticanonical_is_nef",
-    "as_fraction",
-    "classify_tautological",
-    "enumerate_va",
-    "flag_nef_cone",
-    "grassmann_nef_cone",
-    "hn_from_splitting_type",
-    "is_ample_gr",
-    "is_nef_flag",
-    "is_nef_gr",
-    "make_hn_type",
-    "primitive_ray",
-    "pullback_to_flag",
-    "relative_anticanonical_class",
-    "theta",
-    "theta_oracle",
-    "threshold_index",
-]
+# every public name imported above, and none of the submodules
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

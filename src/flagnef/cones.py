@@ -29,7 +29,7 @@ from .errors import (
     LimitExceededError,
 )
 from .hn import CHAR_ZERO, FieldContext, HNType, _checked_tuple, _shown, as_fraction
-from .theta import _theta_parts, _theta_table
+from .theta import _theta_value
 
 # Quotient dimensions of one flag cone, which has nu rays of nu + 1 entries:
 # at nu = 2000 the rays hold 4 million entries, built in about 0.2 s (CPython
@@ -97,13 +97,7 @@ def grassmann_nef_cone(h: HNType, r: int, ctx: FieldContext = CHAR_ZERO) -> Cone
     In characteristic p the caller passes the delta-stabilized type together
     with (p, delta); the tautological-side ray then sits at (p**delta, -theta).
     """
-    _, num, den = _theta_parts(h, r)
-    table = getattr(h, "_theta", None)
-    if table is None:
-        table = _theta_table(h)
-    value = table.get(r)
-    if value is None:
-        table[r] = value = Fraction(num, den)
+    _, num, den, value = _theta_value(h, r)
     pd = ctx.p_delta
     u = pd * den
     g = math.gcd(u, num)
@@ -203,18 +197,12 @@ def flag_nef_cone(h: HNType, fl: FlagType, ctx: FieldContext = CHAR_ZERO) -> Con
         raise LimitExceededError(f"a flag nef cone takes at most {NU_LIMIT} quotient dimensions, "
                                  f"got {nu}")
     pd = ctx.p_delta
-    table = getattr(h, "_theta", None)
-    if table is None:
-        table = _theta_table(h)
     rays, thetas = [], []
     for i, r_i in enumerate(fl.quotient_dims):
-        _, num, den = _theta_parts(h, r_i)
+        _, num, den, value = _theta_value(h, r_i)
         u = pd * den
         g = math.gcd(u, num)
         rays.append((0,) * i + (u // g,) + (0,) * (nu - 1 - i) + (-num // g,))
-        value = table.get(r_i)
-        if value is None:
-            table[r_i] = value = Fraction(num, den)
         thetas.append(value)
     rays.append((0,) * nu + (1,))
     return tuple.__new__(ConeDescriptionFlag, (fl, tuple(rays), tuple(thetas), pd))

@@ -13,9 +13,9 @@ invariant and both nef cones read in integer arithmetic.
 Values do not change once built, except two private slots of a type, filled
 as they are used and never read by equality, hashing, ``repr``, copying or
 pickling: ``_oracle``, the oracle's row, slopes and, from a second read on,
-blocks, and ``_theta``, the theta(r) and piece slopes that theta and the nef
-cones return.  Neither reads the other, so the closed form and the oracle
-still check each other.
+blocks, and ``_theta``, the theta(r) and piece slopes that theta, the nef
+cones and the trichotomy read.  Neither reads the other, so the closed form
+and the oracle still check each other.
 A fill is idempotent: it binds a new tuple instead of mutating one, or adds
 to a table an entry whose value its key fixes.  A table that a concurrent
 fill drops is only built again (equal, if not the same object), and a bound
@@ -42,6 +42,7 @@ from .errors import (
     NonDecreasingSlopesError,
     NonPositiveCoverDegreeError,
     NonPositiveRankError,
+    QuotientRankOutOfRangeError,
 )
 
 
@@ -80,6 +81,16 @@ def _shown(value: int | Fraction) -> str:
         while 10**digits <= n:
             digits += 1
         return f"<{'a negative' if value < 0 else 'an'} integer of {digits} digits>"
+
+
+def _require_quotient_rank(n: int, r: int) -> None:
+    """Check 1 <= r <= n - 1 for a type of total rank n."""
+    if not isinstance(r, int):
+        raise TypeError("quotient dimension r must be an integer")
+    if r < 1 or r >= n:
+        raise QuotientRankOutOfRangeError(
+            f"quotient dimension must satisfy 1 <= r <= {_shown(n - 1)}, got {_shown(r)}"
+        )
 
 
 def _checked_tuple(name: str, fields: list[tuple[str, type]]) -> type:
@@ -191,8 +202,8 @@ class HNType:
     """Ordered graded pieces with strictly decreasing slopes, and their
     quotient polygon.  ``_oracle`` stays unset until the oracle or the
     block walk reads the type; from a second read on it keeps all blocks.
-    ``_theta`` stays unset until theta or a nef cone reads the type; it then
-    keeps each theta(r) asked for under r, and each slope mu_t under -t."""
+    ``_theta`` stays unset until theta's one reader, which alone knows its
+    layout, first reads the type (see :mod:`flagnef.theta`)."""
 
     __slots__ = ("pieces", "polygon", "_oracle", "_theta")
     pieces: tuple[HNPiece, ...]

@@ -13,8 +13,8 @@ import enum
 from fractions import Fraction
 
 from .cones import NSClassGr
-from .hn import HNType
-from .theta import _require_quotient_rank, _theta_parts
+from .hn import HNType, _require_quotient_rank
+from .theta import _theta_value
 
 
 class PositivityClass(enum.Enum):
@@ -44,7 +44,7 @@ def classify_tautological(h: HNType, r: int) -> PositivityClass:
     scale the invariant by positive factors, the verdict does not depend on
     the chosen stabilization exponent.
     """
-    return PositivityClass.of(_theta_parts(h, r)[1])  # theta's numerator over r_t > 0
+    return PositivityClass.of(_theta_value(h, r)[1])  # theta's numerator over r_t > 0
 
 
 def relative_anticanonical_class(h: HNType, r: int) -> NSClassGr:

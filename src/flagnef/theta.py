@@ -12,8 +12,10 @@ of size s from the threshold piece t, which gives the closed form
     theta = s * mu_t + (degree of everything below piece t).
 
 On the quotient polygon (``HNType.polygon``) the tail below piece t is one
-vertex and piece t the edge above it, so the closed form is one bisection
-(``_theta_parts``, the one integer read the cones and the trichotomy share).
+vertex and piece t the edge above it, so the closed form is one bisection.
+``_theta_value`` is the one reader of theta: it bisects and keeps theta(r)
+in the type's ``_theta`` table, whose layout only this module knows, and
+the cones and the trichotomy read theta through it alone.
 :func:`theta_oracle` recomputes the minimum from the ranks and slopes alone,
 so that the two check each other, and refuses a row of more than
 ``ORACLE_LIMIT`` steps; :func:`enumerate_va` lists the blocks of the r-th
@@ -27,8 +29,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import LimitExceededError, QuotientRankOutOfRangeError
-from .hn import HNType, _shown
+from .errors import LimitExceededError
+from .hn import HNType, _require_quotient_rank, _shown
 
 
 class ThetaBreakdown(NamedTuple):
@@ -62,55 +64,43 @@ class VaBundle(NamedTuple):
     slope_sum: Fraction
 
 
-def _require_quotient_rank(n: int, r: int) -> None:
-    """Check 1 <= r <= n - 1 for a type of total rank n."""
-    if not isinstance(r, int):
-        raise TypeError("quotient dimension r must be an integer")
-    if r < 1 or r >= n:
-        raise QuotientRankOutOfRangeError(
-            f"quotient dimension must satisfy 1 <= r <= {_shown(n - 1)}, got {_shown(r)}"
-        )
-
-
-def _theta_parts(h: HNType, r: int) -> tuple[int, int, int]:
-    """The first polygon vertex k whose rank reaches r (the edge into it is
-    piece t), and theta as ``s * d_t + tail_degree * r_t`` over ``r_t > 0``."""
+def _theta_value(h: HNType, r: int) -> tuple[int, int, int, Fraction]:
+    """``(k, num, r_t, value)``: the first polygon vertex k whose rank
+    reaches r (the edge into it is piece t), theta as ``num`` over
+    ``r_t > 0`` (``num = s * d_t + tail_degree * r_t``), and ``value``, the
+    Fraction kept for r in h's ``_theta`` slot.  The slot is one dict per
+    type, with theta(r) under r and the slope of piece t under -t, each
+    built once; it shares nothing with the ``_oracle`` slot."""
     ranks, degrees = h.polygon
     if type(r) is not int or not 0 < r < ranks[-1]:  # an exact int in range skips the check
         _require_quotient_rank(ranks[-1], r)
     k = bisect_left(ranks, r)
     tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
     r_t = ranks[k] - tail_rank
-    return k, (r - tail_rank) * (degrees[k] - tail_degree) + tail_degree * r_t, r_t
-
-
-def _theta_table(h: HNType) -> dict[int, Fraction]:
-    """A new table for h's ``_theta`` slot, filled as :func:`theta` and the
-    cones read it: theta(r) under r >= 1 and the slope of piece t under -t.
-    It shares nothing with the ``_oracle`` slot."""
-    table: dict[int, Fraction] = {}
-    object.__setattr__(h, "_theta", table)
-    return table
+    num = (r - tail_rank) * (degrees[k] - tail_degree) + tail_degree * r_t
+    table = getattr(h, "_theta", None)
+    if table is None:
+        table = {}
+        object.__setattr__(h, "_theta", table)
+    value = table.get(r)
+    if value is None:
+        table[r] = value = Fraction(num, r_t)
+    return k, num, r_t, value
 
 
 def threshold_index(h: HNType, r: int) -> int:
     """Largest 1-based index t such that r_t + ... + r_d >= r."""
-    return len(h.pieces) + 1 - _theta_parts(h, r)[0]
+    return len(h.pieces) + 1 - _theta_value(h, r)[0]
 
 
 def theta(h: HNType, r: int) -> ThetaBreakdown:
     """Evaluate the invariant with its full breakdown.  Its ``theta`` and
     ``mu_t`` are the type's kept values, the same objects on every call."""
-    k, num, r_t = _theta_parts(h, r)
+    k, _, r_t, value = _theta_value(h, r)
     ranks, degrees = h.polygon
     tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
     t = len(ranks) - k
-    table = getattr(h, "_theta", None)
-    if table is None:
-        table = _theta_table(h)
-    value = table.get(r)
-    if value is None:
-        table[r] = value = Fraction(num, r_t)
+    table = h._theta  # bound by _theta_value
     mu = table.get(-t)
     if mu is None:
         table[-t] = mu = Fraction(degrees[k] - tail_degree, r_t)
@@ -159,17 +149,19 @@ def _bounded_compositions(caps: tuple[int, ...], weights: tuple[int, ...],
         rest -= 1
 
 
-def _oracle_data(h: HNType) -> tuple[tuple[int, ...], tuple[int, ...], int, list[int],
-                                      dict[int, Fraction], list[list[VaBundle]] | None]:
+def _oracle_data(h: HNType, r: int) -> tuple[tuple[int, ...], tuple[int, ...], int, list[int],
+                                              dict[int, Fraction], list[list[VaBundle]] | None]:
     """``(ranks, weights, den, best, slopes, table)`` of h, kept in its
-    ``_oracle`` slot: slope_i = weights[i] / den, so the hot loops stay in
+    ``_oracle`` slot once r is checked against h's rank, so that a refused
+    call binds nothing: slope_i = weights[i] / den, so the hot loops stay in
     integers; ``best`` is the oracle's row (``[0]`` until
     :func:`theta_oracle` grows it); ``slopes`` maps each slope numerator
     read so far to its ``Fraction(num, den)``, so each slope of a type is
     built once; ``table`` is :func:`enumerate_va`'s block table, or None."""
     data = getattr(h, "_oracle", None)
+    ranks = data[0] if data else tuple(p.rank for p in h.pieces)
+    _require_quotient_rank(sum(ranks), r)
     if data is None:
-        ranks = tuple(p.rank for p in h.pieces)
         den = math.lcm(*ranks)
         data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0], {}, None
         object.__setattr__(h, "_oracle", data)
@@ -221,9 +213,8 @@ def enumerate_va(h: HNType, r: int) -> list[VaBundle]:
     unread type walks r alone; once this or :func:`theta_oracle` has read
     the type, a call keeps the blocks of every r in its slot when they
     number at most ``_WHOLE_TABLE_BLOCKS``, and then returns a new list of r's."""
-    data = getattr(h, "_oracle", None)
-    ranks, weights, den, _, slopes, table = data or _oracle_data(h)
-    _require_quotient_rank(sum(ranks), r)
+    data = getattr(h, "_oracle", None)  # None on the type's first read
+    ranks, weights, den, _, slopes, table = _oracle_data(h, r)
     if table is None and data and math.prod(c + 1 for c in ranks) <= _WHOLE_TABLE_BLOCKS:
         table = _block_table(ranks, weights, den, slopes)
         object.__setattr__(h, "_oracle", h._oracle[:5] + (table,))
@@ -302,8 +293,7 @@ def theta_oracle(h: HNType, r: int) -> Fraction:
     the polygon or the ``_theta`` slot, and does not assume the slope order,
     so it shares no logic with the closed form in :func:`theta`; the two are
     meant to check each other."""
-    ranks, weights, den, best, slopes, _ = _oracle_data(h)
-    _require_quotient_rank(sum(ranks), r)
+    ranks, weights, den, best, slopes, _ = _oracle_data(h, r)
     if r >= len(best):
         top, steps = _oracle_top(h, r, len(best) - 1)
         if steps > ORACLE_LIMIT:

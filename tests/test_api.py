@@ -1,10 +1,64 @@
-"""The package's public surface: ``flagnef.__all__`` lists exactly the public
-names the package binds, and names removed from the surface stay removed."""
+"""The package's public surface: ``flagnef.__all__``, which the package
+computes from the names it imports, is the list pinned here and lists
+exactly the public names the package binds, and names removed from the
+surface stay removed."""
 
 import types
 
 import flagnef
 import flagnef.cli
+
+
+PUBLIC = [
+    "CHAR_ZERO",
+    "CharZeroContextError",
+    "ConeDescriptionFlag",
+    "ConeDescriptionGr",
+    "DimensionMismatchError",
+    "EmptyTypeError",
+    "FieldContext",
+    "FlagType",
+    "FlagnefError",
+    "HNPiece",
+    "HNType",
+    "IndexOutOfRangeError",
+    "InvalidFieldContextError",
+    "InvalidFlagTypeError",
+    "LimitExceededError",
+    "NSClassFlag",
+    "NSClassGr",
+    "NonDecreasingSlopesError",
+    "NonPositiveCoverDegreeError",
+    "NonPositiveRankError",
+    "ParseError",
+    "PositivityClass",
+    "QuotientRankOutOfRangeError",
+    "RayGr",
+    "ThetaBreakdown",
+    "VaBundle",
+    "ValidationError",
+    "anticanonical_is_nef",
+    "as_fraction",
+    "classify_tautological",
+    "enumerate_va",
+    "flag_nef_cone",
+    "grassmann_nef_cone",
+    "hn_from_splitting_type",
+    "is_ample_gr",
+    "is_nef_flag",
+    "is_nef_gr",
+    "make_hn_type",
+    "primitive_ray",
+    "pullback_to_flag",
+    "relative_anticanonical_class",
+    "theta",
+    "theta_oracle",
+    "threshold_index",
+]
+
+
+def test_all_is_the_pinned_public_surface():
+    assert flagnef.__all__ == PUBLIC
 
 
 def test_all_is_sorted_without_duplicates():

@@ -349,7 +349,7 @@ class TestFlagConeLimit:
         def no_ray(h, r):  # a ray reads theta first; fail before 10**10 entries are built
             raise AssertionError("a ray was built")
 
-        monkeypatch.setattr(cones, "_theta_parts", no_ray)
+        monkeypatch.setattr(cones, "_theta_value", no_ray)
         h, fl = make_hn_type([(10**6, 0)]), FlagType(range(1, 10**5 + 1))
         start = time.perf_counter()
         with pytest.raises(LimitExceededError) as info:

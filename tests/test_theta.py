@@ -41,7 +41,7 @@ from flagnef.theta import (
     _oracle_data,
     _oracle_steps,
     _oracle_top,
-    _theta_parts,
+    _theta_value,
 )
 from helpers import (
     brute_blocks,
@@ -195,7 +195,7 @@ class TestIntegerRead:
         ctx = FieldContext(*field)
         for r in range(1, h.rank):
             value = theta(h, r).theta
-            _, num, den = _theta_parts(h, r)
+            _, num, den, _ = _theta_value(h, r)
             assert den > 0
             assert Fraction(num, den) == value
             assert classify_tautological(h, r) is PositivityClass.of(value)
@@ -311,6 +311,19 @@ class TestBlockTable:
             for r in (1, 2):
                 assert [tuple(b) for b in enumerate_va(h, r)] == brute_blocks(h, r)
                 assert table_builds == [(1,) * 12]
+
+    def test_a_refused_call_is_no_read(self, table_builds):
+        """A call whose r is refused leaves the type unread, so the next
+        one-off call walks its r alone."""
+        for refused in (enumerate_va, theta_oracle):
+            h = make_hn_type([(1, 3), (2, 1), (1, 0)])
+            for r, error in ((0, QuotientRankOutOfRangeError), (4, QuotientRankOutOfRangeError),
+                             ("2", TypeError)):
+                with pytest.raises(error):
+                    refused(h, r)
+            assert getattr(h, "_oracle", None) is None
+            assert [tuple(b) for b in enumerate_va(h, 2)] == brute_blocks(h, 2)
+        assert table_builds == []
 
     def test_the_caller_owns_the_list(self, table_builds):
         h = make_hn_type([(1, 3), (2, 1), (1, 0)])
@@ -447,7 +460,7 @@ class TestOracle:
     def test_reads_only_the_ranks_and_slopes(self, monkeypatch):
         """No polygon, no closed form, and pieces in any slope order."""
         module = importlib.import_module("flagnef.theta")  # the package binds theta() here
-        for name in ("theta", "_theta_parts"):
+        for name in ("theta", "_theta_value"):
             monkeypatch.setattr(module, name, None)
         pieces = (HNPiece(1, -3), HNPiece(4, 8), HNPiece(2, 1), HNPiece(3, 9))
         h = SimpleNamespace(pieces=pieces)
@@ -529,14 +542,14 @@ class TestOracleRow:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
 
-    def test_a_rank_10_8_piece_sizes_no_table(self, row_builds):
+    def test_a_rank_10_8_piece_sizes_no_table(self, row_builds, table_builds):
         h = make_hn_type([[10**8, 0], [1, -1]])
         assert theta_oracle(h, 1) == Fraction(-1)
         assert [tuple(b) for b in enumerate_va(h, 1)] == [
             ((0, 1), 1, -1, Fraction(-1)),
             ((1, 0), 10**8, 0, Fraction(0)),
         ]
-        assert row_builds == [1]
+        assert row_builds == [1] and table_builds == []
         assert len(h._oracle[3]) == 2
 
     @given(hn_types_with_r(), hn_types_with_r(), st.randoms(use_true_random=False))
@@ -684,7 +697,7 @@ class TestThetaTable:
         got = [ask[who]() for who in order + order]
         for r, values in zip(rs, zip(*got)):
             assert all(v is values[0] for v in values), (h.pieces, r)
-            _, num, r_t = _theta_parts(h, r)
+            _, num, r_t, _ = _theta_value(h, r)
             assert values[0] == Fraction(num, r_t)
         mus = {}
         for r in rs:
@@ -702,6 +715,8 @@ class TestThetaTable:
         self.check(h_r[0], order, ctx)
 
     def test_a_poisoned_theta_table_leaves_the_oracle_alone(self, corpus):
+        """The oracle, the trichotomy and the threshold index read no kept
+        Fraction: the last two read the polygon's integers."""
         for h in [h for h in corpus if h.rank > 1][::10]:
             g = make_hn_type(h.pieces)
             object.__setattr__(g, "_theta", _Poisoned())
@@ -710,12 +725,14 @@ class TestThetaTable:
                 assert theta(g, r).theta is theta(g, r).mu_t is POISON  # the table is read
                 assert grassmann_nef_cone(g, r).theta_used is POISON
                 assert theta_oracle(g, r) == brute_min_slope_sum(h, r)
+                assert classify_tautological(g, r) is classify_tautological(h, r)
+                assert threshold_index(g, r) == threshold_index(h, r)
             assert set(flag_nef_cone(g, flag).thetas_used) <= {POISON}
 
     def test_a_poisoned_oracle_table_leaves_theta_and_the_cones_alone(self, corpus):
         for h in [h for h in corpus if h.rank > 1][::10]:
             g = make_hn_type(h.pieces)
-            _oracle_data(g)
+            _oracle_data(g, 1)
             object.__setattr__(g, "_oracle", g._oracle[:4] + (_Poisoned(),) + g._oracle[5:])
             flag = FlagType(tuple(range(1, g.rank)))
             for r in range(1, g.rank):

@@ -8,7 +8,9 @@ CHANGE/src once (B), as separate module sets swapped into ``sys.modules``.
 Each round draws a fresh op pool from bench/workloads.py, as bench/run.py
 does, and runs it on the three sides in rotating order, with the garbage
 collector off inside each pass.  Prints the B/A and A'/A ratios of summed op
-time per round, their medians, and the ratios of the p50 of per-op medians.
+time per round, their medians and quartiles, and the ratios of the p50 of
+per-op medians: a B/A median outside the A'/A quartiles stands out from the
+run-to-run spread.
 Every op's output must have the same repr on all sides; exit status 1 if not.
 
 The default, the collector off, suits per-call changes: it takes the
@@ -133,8 +135,9 @@ def main(argv=None):
         print(f"round {k + 1}: {len(pool)} ops, A {total['A']:.4f} s, {line}")
     p50 = {side: statistics.median(map(statistics.median, by_op[side].values())) for side in names}
     print(f"A: p50 of per-op medians {p50['A'] * 1e6:.1f} us")
-    for side in ratios:
-        print(f"{side}/A: total median {statistics.median(ratios[side]):.4f}, "
+    for side, r in ratios.items():
+        q1, _, q3 = statistics.quantiles(r, n=4, method="inclusive") if len(r) > 1 else r * 3
+        print(f"{side}/A: total median {statistics.median(r):.4f}, quartiles {q1:.4f}-{q3:.4f}, "
               f"p50 of per-op medians {p50[side] / p50['A']:.4f} ({p50[side] * 1e6:.1f} us)")
     if args.gc:
         for side in names:
