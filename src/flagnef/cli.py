@@ -25,8 +25,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence, TextIO
 
-from .cones import (FlagType, NSClassFlag, NSClassGr, flag_nef_cone, grassmann_nef_cone,
-                    is_ample_gr, is_nef_flag, is_nef_gr)
+from .cones import (NU_LIMIT, FlagType, NSClassFlag, NSClassGr, flag_nef_cone,
+                    grassmann_nef_cone, is_ample_gr, is_nef_flag, is_nef_gr)
 from .corpus import iter_hn_types
 from .errors import FlagnefError, LimitExceededError, ParseError, ValidationError
 from .hn import CHAR_ZERO, DIGIT_LIMIT, FieldContext, HNType, hn_from_splitting_type, make_hn_type
@@ -43,7 +43,6 @@ _CORPUS = {"max_rank": 6, "max_abs_degree": 4}
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # one encoder for every JSON report
 
 READ_LIMIT = 2**20  # bytes of one @file argument
-FLAG_LIMIT = 2000  # quotient dimensions of one --flag: the flag cone has nu rays of nu + 1 entries
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
@@ -171,8 +170,8 @@ def _r(text: str) -> tuple[dict, int]:
 
 def _flag(text: str) -> tuple[dict, list]:
     parts = text.split(",")
-    if len(parts) > FLAG_LIMIT:
-        raise LimitExceededError(f"--flag has more than {FLAG_LIMIT} quotient dimensions")
+    if len(parts) > NU_LIMIT:  # checked before any part is converted
+        raise LimitExceededError(f"--flag has more than {NU_LIMIT} quotient dimensions")
     dims = tuple(map(_int_arg, parts))
     if None in dims:
         raise ParseError(f"--flag expects comma-separated integers, got {text!r}")
@@ -364,7 +363,7 @@ def _oracle_check(a: SimpleNamespace) -> dict:
                     print(f"flagnef: oracle mismatch for pieces={pieces} r={r}: "
                           f"closed form {closed} != brute force {brute}", file=a.stderr)
     except LimitExceededError:  # the kernel names its row; the CLI names its option
-        limit = sys.modules[theta_oracle.__module__].ORACLE_LIMIT  # the limit the kernel applied
+        limit = sys.modules[f"{__package__}.theta"].ORACLE_LIMIT  # the limit the kernel applied
         raise LimitExceededError(f"oracle-check would take more than {limit} oracle steps on "
                                  "this bundle; give a smaller --r") from None
     return {"types": n_types, "checks": checks, "mismatches": mismatches, "ok": mismatches == 0}

@@ -31,9 +31,8 @@ from .errors import (
 from .hn import CHAR_ZERO, FieldContext, HNType, _checked_tuple, _shown, as_fraction
 from .theta import _theta_value
 
-# Quotient dimensions of one flag cone, which has nu rays of nu + 1 entries:
-# at nu = 2000 the rays hold 4 million entries, built in about 0.2 s (CPython
-# 3.11, 2-vCPU VM).  cli.FLAG_LIMIT bounds a --flag to the same length.
+# Quotient dimensions of one flag cone, and of one --flag: the cone has nu rays of
+# nu + 1 entries, 4 million at nu = 2000, built in about 0.2 s (CPython 3.11, 2-vCPU VM).
 NU_LIMIT = 2000
 
 

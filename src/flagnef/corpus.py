@@ -22,22 +22,18 @@ def _rank_compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _assign_degrees(ranks: tuple[int, ...], bound: int) -> Iterator[HNType]:
-    d = len(ranks)
-
-    def rec(i: int, acc: list[HNPiece]) -> Iterator[HNType]:
-        if i == d:
-            yield HNType(tuple(acc))
-            return
-        for deg in range(-bound, bound + 1):
-            # the slope order, cross-multiplied as HNType checks it
-            if acc and deg * acc[-1].rank >= acc[-1].degree * ranks[i]:
-                break  # degrees ascend, so all later slopes fail too
-            acc.append(HNPiece(ranks[i], deg))
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+def _assign_degrees(ranks: tuple[int, ...], bound: int,
+                    acc: tuple[HNPiece, ...] = ()) -> Iterator[HNType]:
+    """Every type with these ranks and degrees in [-bound, bound] that extends ``acc``."""
+    if len(acc) == len(ranks):
+        yield HNType(acc)
+        return
+    c = ranks[len(acc)]
+    for deg in range(-bound, bound + 1):
+        # the slope order, cross-multiplied as HNType checks it
+        if acc and deg * acc[-1].rank >= acc[-1].degree * c:
+            break  # degrees ascend, so all later slopes fail too
+        yield from _assign_degrees(ranks, bound, acc + (HNPiece(c, deg),))
 
 
 def iter_hn_types(max_rank: int = 6, max_abs_degree: int = 4) -> Iterator[HNType]:

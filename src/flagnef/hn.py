@@ -10,22 +10,18 @@ Each type carries its quotient polygon, built with it (the
 Harder-Narasimhan, or Shatz, polygon read from below), which the threshold
 invariant and both nef cones read in integer arithmetic.
 
-Values do not change once built, except two private slots of a type, filled
-as they are used and never read by equality, hashing, ``repr``, copying or
-pickling: ``_oracle``, the oracle's row, slopes and, from a second read on,
-blocks, and ``_theta``, the theta(r) and piece slopes that theta, the nef
-cones and the trichotomy read.  Neither reads the other, so the closed form
-and the oracle still check each other.
-A fill is idempotent: it binds a new tuple instead of mutating one, or adds
-to a table an entry whose value its key fixes.  A table that a concurrent
-fill drops is only built again (equal, if not the same object), and a bound
-block table never changes (its callers get copies), so every operation, a
-pure function, is safe for unrestricted concurrent use.  Pieces and field
-contexts are named tuples whose fields are exactly their constructors'
-checked arguments; they also compare equal to plain tuples of those fields.
-A checked value has one constructor, which runs every check in one pass; a
-record that checks nothing (``Polygon``, the records of theta and cones) is
-packed with ``tuple.__new__``.
+Values do not change once built, except the two private slots of a type
+(see :class:`HNType`), which equality, hashing, ``repr``, copying and
+pickling never read.  A fill is idempotent: it adds an entry whose value its
+key fixes, or binds ``_oracle`` to a new tuple instead of mutating one.  A
+tuple that a concurrent bind drops is only built again (equal, if not the
+same object), and a bound block table never changes (its callers get
+copies), so every operation, a pure function, is safe for unrestricted
+concurrent use.  Pieces and field contexts are named tuples whose fields are
+exactly their constructors' checked arguments; they also compare equal to
+plain tuples of those fields.  A checked value has one constructor, which
+runs every check in one pass; a record that checks nothing (``Polygon``, the
+records of theta and cones) is packed with ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -200,10 +196,12 @@ class Polygon(NamedTuple):
 
 class HNType:
     """Ordered graded pieces with strictly decreasing slopes, and their
-    quotient polygon.  ``_oracle`` stays unset until the oracle or the
-    block walk reads the type; from a second read on it keeps all blocks.
-    ``_theta`` stays unset until theta's one reader, which alone knows its
-    layout, first reads the type (see :mod:`flagnef.theta`)."""
+    quotient polygon.  ``_theta`` is bound here to an empty dict and only
+    added to, by theta's one reader, which alone knows its layout (see
+    :mod:`flagnef.theta`).  ``_oracle`` stays unset until the first
+    brute-force read, by the oracle or the block walk; from a second read on
+    it keeps all blocks.  Neither slot reads the other, so the closed form
+    and the oracle still check each other."""
 
     __slots__ = ("pieces", "polygon", "_oracle", "_theta")
     pieces: tuple[HNPiece, ...]
@@ -231,6 +229,7 @@ class HNType:
                                            f"{_shown(a)} <= mu_{fault + 1} = {_shown(b)}")
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "polygon", tuple.__new__(Polygon, (tuple(ranks), tuple(degrees))))
+        object.__setattr__(self, "_theta", {})
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -12,14 +12,11 @@ of size s from the threshold piece t, which gives the closed form
     theta = s * mu_t + (degree of everything below piece t).
 
 On the quotient polygon (``HNType.polygon``) the tail below piece t is one
-vertex and piece t the edge above it, so the closed form is one bisection.
-``_theta_value`` is the one reader of theta: it bisects and keeps theta(r)
-in the type's ``_theta`` table, whose layout only this module knows, and
-the cones and the trichotomy read theta through it alone.
-:func:`theta_oracle` recomputes the minimum from the ranks and slopes alone,
-so that the two check each other, and refuses a row of more than
-``ORACLE_LIMIT`` steps; :func:`enumerate_va` lists the blocks of the r-th
-exterior power, whose least slope is theta.
+vertex and piece t the edge above it, so the closed form is one bisection,
+made by ``_theta_value`` alone.  :func:`theta_oracle` recomputes the minimum
+from the ranks and slopes alone, so that the two check each other;
+:func:`enumerate_va` lists the blocks of the r-th exterior power, whose
+least slope is theta.
 """
 
 from __future__ import annotations
@@ -68,9 +65,8 @@ def _theta_value(h: HNType, r: int) -> tuple[int, int, int, Fraction]:
     """``(k, num, r_t, value)``: the first polygon vertex k whose rank
     reaches r (the edge into it is piece t), theta as ``num`` over
     ``r_t > 0`` (``num = s * d_t + tail_degree * r_t``), and ``value``, the
-    Fraction kept for r in h's ``_theta`` slot.  The slot is one dict per
-    type, with theta(r) under r and the slope of piece t under -t, each
-    built once; it shares nothing with the ``_oracle`` slot."""
+    Fraction kept for r in h's ``_theta`` dict, which holds theta(r) under r
+    and the slope of piece t under -t, each built once."""
     ranks, degrees = h.polygon
     if type(r) is not int or not 0 < r < ranks[-1]:  # an exact int in range skips the check
         _require_quotient_rank(ranks[-1], r)
@@ -78,13 +74,9 @@ def _theta_value(h: HNType, r: int) -> tuple[int, int, int, Fraction]:
     tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
     r_t = ranks[k] - tail_rank
     num = (r - tail_rank) * (degrees[k] - tail_degree) + tail_degree * r_t
-    table = getattr(h, "_theta", None)
-    if table is None:
-        table = {}
-        object.__setattr__(h, "_theta", table)
-    value = table.get(r)
+    value = h._theta.get(r)
     if value is None:
-        table[r] = value = Fraction(num, r_t)
+        h._theta[r] = value = Fraction(num, r_t)
     return k, num, r_t, value
 
 
@@ -100,10 +92,9 @@ def theta(h: HNType, r: int) -> ThetaBreakdown:
     ranks, degrees = h.polygon
     tail_rank, tail_degree = ranks[k - 1], degrees[k - 1]
     t = len(ranks) - k
-    table = h._theta  # bound by _theta_value
-    mu = table.get(-t)
+    mu = h._theta.get(-t)
     if mu is None:
-        table[-t] = mu = Fraction(degrees[k] - tail_degree, r_t)
+        h._theta[-t] = mu = Fraction(degrees[k] - tail_degree, r_t)
     return tuple.__new__(ThetaBreakdown, (r, t, tail_rank, tail_degree, r - tail_rank, mu, value))
 
 

@@ -3,6 +3,7 @@ the hypothesis strategies for HN types."""
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -19,9 +20,16 @@ from flagnef import (
     NSClassGr,
     make_hn_type,
 )
-from flagnef.cli import _RATIONAL_RE, _text
+from flagnef.cli import _RATIONAL_RE, _text, run_command
 from flagnef.errors import ParseError
 from flagnef.hn import Polygon
+
+
+def invoke(argv):
+    """``run_command(argv)`` on captured streams, as (report, exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    report, code = run_command(argv, stdout=out, stderr=err)
+    return report, code, out.getvalue(), err.getvalue()
 
 
 def brute_min_slope_sum(h: HNType, r: int) -> Fraction:

@@ -1,6 +1,5 @@
 import ast
 import importlib
-import io
 import json
 import os
 import subprocess
@@ -16,26 +15,19 @@ from hypothesis import strategies as st
 import flagnef.cli as cli
 from flagnef import CHAR_ZERO, FieldContext, ValidationError, make_hn_type
 from flagnef.cli import (
-    FLAG_LIMIT,
     READ_LIMIT,
     build_parser,
     main,
     render_report,
-    run_command,
 )
-from flagnef.theta import ORACLE_LIMIT, _oracle_steps, _oracle_top
-from helpers import merge_by_slope
+from flagnef.cones import NU_LIMIT
+from flagnef.theta import _oracle_steps, _oracle_top
+from helpers import invoke, merge_by_slope
 from test_golden import REPORTS, USAGE_ERRORS
 
 GOLDEN = Path(__file__).parent / "golden"
 THETA = importlib.import_module("flagnef.theta")  # the module; flagnef.theta is the function
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def invoke(argv):
-    out, err = io.StringIO(), io.StringIO()
-    report, code = run_command(argv, stdout=out, stderr=err)
-    return report, code, out.getvalue(), err.getvalue()
 
 
 def parse_bundle(text):
@@ -425,14 +417,14 @@ class TestCheckLimit:
         # steps.  The 1200-piece probe at r = 1 (1200 steps) is answered,
         # and every bundle of rank - 1 > 50,000 is refused without --r, since
         # it takes at least (rank - 1)**2 steps.
-        assert 5 * 6 < 1200 < ORACLE_LIMIT < 50_001**2
+        assert 5 * 6 < 1200 < THETA.ORACLE_LIMIT < 50_001**2
 
     def test_every_r_of_a_huge_type_is_refused_at_once(self):
         start = time.perf_counter()
         report, code, out, err = invoke(["oracle-check", "--bundle", self.HUGE])
         assert (report, code, out) == (None, 1, "")
         assert err == (f"flagnef: error[LimitExceeded]: oracle-check would take more than "
-                       f"{ORACLE_LIMIT} oracle steps on this bundle; give a smaller --r\n")
+                       f"{THETA.ORACLE_LIMIT} oracle steps on this bundle; give a smaller --r\n")
         assert time.perf_counter() - start < 0.1
 
     def test_one_r_of_a_huge_type_is_answered(self):
@@ -492,7 +484,7 @@ class TestCheckLimit:
         for pieces, r in (([[2500, 1], [1, 0]], 1999), ([[1, -i] for i in range(2500)], 1600)):
             h, _ = parse_bundle(json.dumps({"pieces": pieces}))
             assert _oracle_top(h, r) == (r, _oracle_steps(h, r))
-            assert _oracle_steps(h, r) <= ORACLE_LIMIT < _oracle_steps(h, h.rank - 1)
+            assert _oracle_steps(h, r) <= THETA.ORACLE_LIMIT < _oracle_steps(h, h.rank - 1)
 
     def test_the_limit_counts_oracle_steps(self, monkeypatch):
         monkeypatch.setattr(THETA, "ORACLE_LIMIT", 12)  # every r: 3 * (1 + 2 + 1)
@@ -533,6 +525,20 @@ class TestCheckLimit:
             _, code, _, _ = invoke(["oracle-check", "--bundle", self.HUGE, *argv])
             assert (code, len(plans)) == (expected, 1)
 
+    def test_a_wrapped_oracle_is_refused_in_the_same_words(self, monkeypatch):
+        """A caller may wrap the CLI's theta_oracle, as a tracer does; the
+        refusal still reads the kernel module's limit, not the wrapper's module's."""
+        argv = ["oracle-check", "--bundle", self.HUGE]
+        unwrapped, oracle = invoke(argv), cli.theta_oracle
+
+        def wrapped(h, r):
+            return oracle(h, r)
+
+        monkeypatch.setattr(cli, "theta_oracle", wrapped)
+        assert not hasattr(sys.modules[wrapped.__module__], "ORACLE_LIMIT")
+        assert invoke(argv) == unwrapped
+        assert unwrapped[1] == 1 and "error[LimitExceeded]: oracle-check would" in unwrapped[3]
+
     def test_the_limit_is_the_oracles_own(self):
         """The CLI neither keeps the limit nor plans the oracle's row."""
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
@@ -543,7 +549,7 @@ class TestCheckLimit:
 
 
 class TestFlagLimit:
-    """--flag takes at most FLAG_LIMIT quotient dimensions, refused before
+    """--flag takes at most NU_LIMIT quotient dimensions, refused before
     the flag type and its rays are built: the flag cone has nu rays of
     nu + 1 entries."""
 
@@ -568,9 +574,9 @@ class TestFlagLimit:
                        "quotient dimensions\n")
 
     def test_the_limit_is_the_longest_flag_answered(self):
-        report, code, _, _ = invoke(self.argvs(FLAG_LIMIT)["member"])
+        report, code, _, _ = invoke(self.argvs(NU_LIMIT)["member"])
         assert (code, report["result"]) == (0, {"nef": True})
-        for argv in self.argvs(FLAG_LIMIT + 1).values():
+        for argv in self.argvs(NU_LIMIT + 1).values():
             report, code, _, err = invoke(argv)
             assert (report, code) == (None, 1)
             assert err.startswith("flagnef: error[LimitExceeded]: --flag has more than")

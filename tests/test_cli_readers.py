@@ -3,7 +3,6 @@ reader, the per-command reader data of the command table, and the rendering
 of every report in both modes."""
 
 import argparse
-import io
 import json
 import random
 import time
@@ -14,15 +13,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import flagnef.cli as cli
-from flagnef.cli import build_parser, render_report, run_command
+from flagnef.cli import build_parser, render_report
 from flagnef.errors import ParseError
-from helpers import merge_by_slope, reference_parse_rational, reference_render
-
-
-def invoke(argv):
-    out, err = io.StringIO(), io.StringIO()
-    report, code = run_command(argv, stdout=out, stderr=err)
-    return report, code, out.getvalue(), err.getvalue()
+from helpers import invoke, merge_by_slope, reference_parse_rational, reference_render
 
 
 def outcome(read, *args):

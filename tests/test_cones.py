@@ -369,8 +369,8 @@ class TestFlagConeLimit:
         with pytest.raises(InvalidFlagTypeError, match="must be < rank"):
             flag_nef_cone(make_hn_type([(10, 0)]), FlagType(range(1, NU_LIMIT + 2)))
 
-    def test_the_cli_limit_is_within_the_kernels(self):
-        assert cli.FLAG_LIMIT <= NU_LIMIT
+    def test_the_cli_keeps_no_limit_of_its_own(self):
+        assert not hasattr(cli, "FLAG_LIMIT")
 
 
 class TestFlagMembership:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from flagnef.cli import run_command
+from helpers import invoke
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -90,20 +91,14 @@ def golden(name):
     return (GOLDEN / f"{name}.golden").read_text(encoding="utf-8")
 
 
-def invoke(argv):
-    out, err = io.StringIO(), io.StringIO()
-    _, code = run_command(argv, stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.mark.parametrize("name", REPORTS)
 def test_report(name):
-    assert invoke(REPORTS[name]) == (0, golden(name), "")
+    assert invoke(REPORTS[name])[1:] == (0, golden(name), "")
 
 
 @pytest.mark.parametrize("name", USAGE_ERRORS)
 def test_usage_error(name):
-    assert invoke(USAGE_ERRORS[name]) == (1, "", golden(name))
+    assert invoke(USAGE_ERRORS[name])[1:] == (1, "", golden(name))
 
 
 @pytest.mark.parametrize("name", HELP)

@@ -28,6 +28,7 @@ from flagnef import (
     enumerate_va,
     flag_nef_cone,
     grassmann_nef_cone,
+    hn_from_splitting_type,
     make_hn_type,
     theta,
     theta_oracle,
@@ -714,6 +715,20 @@ class TestThetaTable:
     def test_random_types_in_any_order(self, h_r, order, ctx):
         self.check(h_r[0], order, ctx)
 
+    def test_every_type_starts_with_an_empty_table(self):
+        """The table is bound with the type, however it is built, and a
+        refused r adds nothing to it."""
+        h = make_hn_type([(1, 2), (2, 1), (1, 0)])
+        built = [h, hn_from_splitting_type([3, 1, 1, 0]), h.dual(), h.twist(2),
+                 h.cover_pullback(3), h.frobenius_pullback(FieldContext(3, 1))]
+        for g in [*built, *iter_hn_types()]:
+            assert type(g._theta) is dict and g._theta == {}
+        readers = (theta, threshold_index, classify_tautological, grassmann_nef_cone)
+        for read, r in itertools.product(readers, (0, h.rank, "2")):
+            with pytest.raises((QuotientRankOutOfRangeError, TypeError)):
+                read(h, r)
+        assert h._theta == {}
+
     def test_a_poisoned_theta_table_leaves_the_oracle_alone(self, corpus):
         """The oracle, the trichotomy and the threshold index read no kept
         Fraction: the last two read the polygon's integers."""
@@ -750,7 +765,7 @@ class TestThetaTable:
         object.__setattr__(h, "_theta", _Poisoned())
         assert (h == fresh, hash(h), repr(h)) == (True, hash(fresh), repr(fresh))
         for twin in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
-            assert twin == h and getattr(twin, "_theta", None) is None
+            assert twin == h and twin._theta == {}
             assert theta(twin, 2) == theta(fresh, 2)
             assert grassmann_nef_cone(twin, 3) == grassmann_nef_cone(fresh, 3)
 
