@@ -13,15 +13,17 @@ invariant and both nef cones read in integer arithmetic.
 Values do not change once built, except the two private slots of a type
 (see :class:`HNType`), which equality, hashing, ``repr``, copying and
 pickling never read.  A fill is idempotent: it adds an entry whose value its
-key fixes, or binds ``_oracle`` to a new tuple instead of mutating one.  A
-tuple that a concurrent bind drops is only built again (equal, if not the
-same object), and a bound block table never changes (its callers get
-copies), so every operation, a pure function, is safe for unrestricted
-concurrent use.  Pieces and field contexts are named tuples whose fields are
-exactly their constructors' checked arguments; they also compare equal to
-plain tuples of those fields.  A checked value has one constructor, which
-runs every check in one pass; a record that checks nothing (``Polygon``, the
-records of theta and cones) is packed with ``tuple.__new__``.
+key fixes, or binds ``_oracle`` to a new tuple instead of mutating one.  So
+small types may share the oracle's slope dict, process-wide, with every type
+of the same slope denominator (see :mod:`flagnef.theta`).  A tuple that a
+concurrent bind drops is only built again (equal, if not the same object),
+and a bound block table never changes (its callers get copies), so every
+operation, a pure function, is safe for unrestricted concurrent use.  Pieces
+and field contexts are named tuples whose fields are exactly their
+constructors' checked arguments; they also compare equal to plain tuples of
+those fields.  A checked value has one constructor, which runs every check in
+one pass; a record that checks nothing (``Polygon``, the records of theta and
+cones) is packed with ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -198,10 +200,10 @@ class HNType:
     """Ordered graded pieces with strictly decreasing slopes, and their
     quotient polygon.  ``_theta`` is bound here to an empty dict and only
     added to, by theta's one reader, which alone knows its layout (see
-    :mod:`flagnef.theta`).  ``_oracle`` stays unset until the first
-    brute-force read, by the oracle or the block walk; from a second read on
-    it keeps all blocks.  Neither slot reads the other, so the closed form
-    and the oracle still check each other."""
+    :mod:`flagnef.theta`).  ``_oracle`` is bound here to None, which marks
+    a type no brute-force read has reached, by the oracle or the block walk;
+    from a second read on it keeps all blocks.  Neither slot reads the
+    other, so the closed form and the oracle still check each other."""
 
     __slots__ = ("pieces", "polygon", "_oracle", "_theta")
     pieces: tuple[HNPiece, ...]
@@ -230,6 +232,7 @@ class HNType:
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "polygon", tuple.__new__(Polygon, (tuple(ranks), tuple(degrees))))
         object.__setattr__(self, "_theta", {})
+        object.__setattr__(self, "_oracle", None)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

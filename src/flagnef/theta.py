@@ -22,6 +22,7 @@ least slope is theta.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -140,6 +141,18 @@ def _bounded_compositions(caps: tuple[int, ...], weights: tuple[int, ...],
         rest -= 1
 
 
+# Slope tables shared process-wide by the small types of one den, since the
+# corpus's types repeat few dens and slope sums.  A key fixes its value, so
+# any reader may add to a table.  The module keeps at most _SHARED_DENS dens;
+# a table renewed once it holds _SLOPES_PER_DEN slopes keeps at most that
+# many plus what the types that borrowed it before then add, at most
+# _WHOLE_TABLE_BLOCKS each.
+_SHARED_DENS = 16
+_SLOPES_PER_DEN = 128
+_SHARED_SLOPES: dict[int, dict[int, Fraction]] = {}
+_SHARED_LOCK = threading.Lock()  # the caps hold under threads too
+
+
 def _oracle_data(h: HNType, r: int) -> tuple[tuple[int, ...], tuple[int, ...], int, list[int],
                                               dict[int, Fraction], list[list[VaBundle]] | None]:
     """``(ranks, weights, den, best, slopes, table)`` of h, kept in its
@@ -147,14 +160,24 @@ def _oracle_data(h: HNType, r: int) -> tuple[tuple[int, ...], tuple[int, ...], i
     call binds nothing: slope_i = weights[i] / den, so the hot loops stay in
     integers; ``best`` is the oracle's row (``[0]`` until
     :func:`theta_oracle` grows it); ``slopes`` maps each slope numerator
-    read so far to its ``Fraction(num, den)``, so each slope of a type is
-    built once; ``table`` is :func:`enumerate_va`'s block table, or None."""
+    read so far to its ``Fraction(num, den)``, so each slope is built once;
+    ``table`` is :func:`enumerate_va`'s block table, or None.  A type of at
+    most ``_WHOLE_TABLE_BLOCKS`` blocks borrows the ``slopes`` dict of its
+    den from ``_SHARED_SLOPES``, or a fresh one that replaces it if it is
+    full; a larger type, or a den past the module's cap, gets a private one."""
     data = getattr(h, "_oracle", None)
     ranks = data[0] if data else tuple(p.rank for p in h.pieces)
     _require_quotient_rank(sum(ranks), r)
     if data is None:
-        den = math.lcm(*ranks)
-        data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0], {}, None
+        den, slopes = math.lcm(*ranks), {}
+        if math.prod(c + 1 for c in ranks) <= _WHOLE_TABLE_BLOCKS:
+            with _SHARED_LOCK:
+                kept = _SHARED_SLOPES.get(den)
+                if kept is not None and len(kept) < _SLOPES_PER_DEN:
+                    slopes = kept
+                elif kept is not None or len(_SHARED_SLOPES) < _SHARED_DENS:
+                    _SHARED_SLOPES[den] = slopes
+        data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0], slopes, None
         object.__setattr__(h, "_oracle", data)
     return data
 

@@ -74,6 +74,14 @@ def table_builds(monkeypatch):
 
 
 @pytest.fixture
+def shared_slopes(monkeypatch):
+    """A fresh, empty process-wide slope store, in place while the test runs."""
+    store = {}
+    monkeypatch.setattr(importlib.import_module("flagnef.theta"), "_SHARED_SLOPES", store)
+    return store
+
+
+@pytest.fixture
 def fraction_reads(monkeypatch):
     """The name of every read of the ``Fraction.numerator`` and
     ``.denominator`` properties made while the test runs, in order."""

@@ -375,6 +375,136 @@ class TestBlockTable:
         assert table_builds == []
 
 
+class TestSharedSlopes:
+    """Types of at most ``_WHOLE_TABLE_BLOCKS`` blocks borrow the slope dict
+    of their den from the module's store, which keeps at most
+    ``_SHARED_DENS`` dens and renews a den's dict once it is full."""
+
+    @staticmethod
+    def read_all(h):
+        """Every r of h, by the oracle and the block walk, checked against
+        the brute force; the blocks of r = 1 are returned."""
+        for r in range(1, h.rank):
+            assert theta_oracle(h, r) == brute_min_slope_sum(h, r)
+            assert [tuple(b) for b in enumerate_va(h, r)] == brute_blocks(h, r)
+        return enumerate_va(h, 1)
+
+    def test_two_types_of_one_den_return_the_same_object(self, shared_slopes):
+        h, g = make_hn_type([(2, 1), (2, -1)]), make_hn_type([(2, 1), (2, -3)])
+        ours, theirs = self.read_all(h)[-1], self.read_all(g)[-1]
+        assert ours.composition == theirs.composition == (1, 0)
+        assert ours.slope_sum is theirs.slope_sum and ours.slope_sum == Fraction(1, 2)
+        assert h._oracle[4] is g._oracle[4] is shared_slopes[2]
+        assert theta_oracle(h, 2) is shared_slopes[2][-2] is enumerate_va(h, 2)[0].slope_sum
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_types_of_other_dens_never_share_a_key(self, shared_slopes, first):
+        """1/2 and 1/4 both have num = 1, each over its own den."""
+        types = [make_hn_type([(2, 1), (1, -1)]), make_hn_type([(4, 1), (1, -1)])]
+        if first:
+            types.reverse()
+        for h in types:
+            self.read_all(h)
+        assert sorted(shared_slopes) == [2, 4]
+        assert shared_slopes[2][1] == Fraction(1, 2) and shared_slopes[4][1] == Fraction(1, 4)
+
+    def test_the_caps_bound_what_the_module_keeps(self, shared_slopes, monkeypatch):
+        """With 2 dens of 4 slopes: a type borrows only a dict below 4 slopes,
+        the store never holds more than 2 dens, and each kept dict holds at
+        most 3 slopes plus what the last type that borrowed it added."""
+        module = importlib.import_module("flagnef.theta")
+        monkeypatch.setattr(module, "_SHARED_DENS", 2)
+        monkeypatch.setattr(module, "_SLOPES_PER_DEN", 4)
+        added, dicts, private = {}, {}, 0
+        for pieces in [h.pieces for h in iter_hn_types(6, 4) if h.rank > 1][::11]:
+            h = make_hn_type(pieces)
+            _oracle_data(h, 1)
+            den, slopes = h._oracle[2], h._oracle[4]
+            before = len(slopes)
+            self.read_all(h)
+            if shared_slopes.get(den) is slopes:
+                assert before < 4, (pieces, before)
+                added[den] = len(slopes) - before
+                dicts[id(slopes)] = slopes  # kept alive, so no id is reused
+            else:
+                private += 1
+                assert len(shared_slopes) == 2 and den not in shared_slopes
+            assert len(shared_slopes) <= 2
+            assert all(len(kept) - added[d] < 4 for d, kept in shared_slopes.items())
+        assert private and len(dicts) > 100  # dens past the cap, and renewals
+
+    def test_a_large_type_keeps_a_private_dict(self, shared_slopes):
+        """12 rank-1 pieces have 2**12 blocks, the bound, and borrow; with a
+        rank-2 piece below them they do not, and neither do larger pieces."""
+        small = make_hn_type([(1, 30 - 2 * i) for i in range(12)])
+        theta_oracle(small, 1)
+        assert small._oracle[4] is shared_slopes[1]
+        kept = dict(shared_slopes[1])
+        for rank in (2, 1):  # 3**13 and 3 * 2**12 blocks, both of den 2
+            large = make_hn_type([(rank, 29 - 2 * i) for i in range(12)] + [(2, -1)])
+            assert large._oracle is None
+            assert [theta_oracle(large, r) for r in (1, 2)] == [-Fraction(1, 2), -1]
+            assert large._oracle[2] == 2 and all(large._oracle[4] is not d
+                                                 for d in shared_slopes.values())
+        assert shared_slopes == {1: kept}
+
+    def test_poisoned_shared_tables_leave_theta_and_the_cones_alone(self, corpus, monkeypatch):
+        """The closed form and both cones read no shared slope: every den of
+        the corpus (ranks <= 6, so dens 1..6) borrows a poisoned dict."""
+        module = importlib.import_module("flagnef.theta")
+        monkeypatch.setattr(module, "_SHARED_SLOPES", {den: _Poisoned() for den in range(1, 7)})
+        for h in [h for h in corpus if h.rank > 1][::10]:
+            g = make_hn_type(h.pieces)
+            flag = FlagType(tuple(range(1, g.rank)))
+            for r in range(1, g.rank):
+                assert theta_oracle(g, r) is POISON  # the shared table is read
+                expected = brute_min_slope_sum(h, r)
+                bd = theta(g, r)
+                assert (bd.theta, bd.mu_t) == (expected, h.pieces[bd.t - 1].slope)
+                assert grassmann_nef_cone(g, r).theta_used == expected
+                assert flag_nef_cone(g, flag).thetas_used[r - 1] == expected
+
+    def test_threads_renewing_small_caps(self, shared_slopes, monkeypatch):
+        """Four threads read the same fresh types at every r while the
+        store's dicts fill and renew: every answer matches the brute force,
+        and the store never holds more than its dens."""
+        module = importlib.import_module("flagnef.theta")
+        monkeypatch.setattr(module, "_SHARED_DENS", 2)
+        monkeypatch.setattr(module, "_SLOPES_PER_DEN", 4)
+        corpus = [h for h in iter_hn_types(5, 3) if h.rank > 1]
+        want = [[(brute_min_slope_sum(h, r), brute_blocks(h, r)) for r in range(1, h.rank)]
+                for h in corpus]
+        types, sizes = [make_hn_type(h.pieces) for h in corpus], []
+        start, errors = threading.Barrier(4, timeout=30), []
+
+        def work(descending):
+            try:
+                start.wait()
+                for h, rows in zip(types, want):
+                    rs = range(h.rank - 1, 0, -1) if descending else range(1, h.rank)
+                    for r in rs:
+                        got = (theta_oracle(h, r), [tuple(b) for b in enumerate_va(h, r)])
+                        if got != rows[r - 1]:
+                            errors.append((h, r, got))
+                    sizes.append(len(shared_slopes))
+            except Exception as exc:  # reported below, in the test's thread
+                errors.append(exc)
+                start.abort()
+
+        threads = [threading.Thread(target=work, args=(i % 2,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and max(sizes) <= 2
+
+
 class TestBoundedCompositions:
     @given(st.lists(st.integers(0, 3), max_size=5), st.integers(-2, 17),
            st.lists(st.integers(-9, 9), min_size=5, max_size=5))
@@ -716,18 +846,19 @@ class TestThetaTable:
         self.check(h_r[0], order, ctx)
 
     def test_every_type_starts_with_an_empty_table(self):
-        """The table is bound with the type, however it is built, and a
-        refused r adds nothing to it."""
+        """The table is bound with the type, however it is built, as is the
+        oracle's slot, to None, and a refused r adds nothing to either."""
         h = make_hn_type([(1, 2), (2, 1), (1, 0)])
         built = [h, hn_from_splitting_type([3, 1, 1, 0]), h.dual(), h.twist(2),
                  h.cover_pullback(3), h.frobenius_pullback(FieldContext(3, 1))]
         for g in [*built, *iter_hn_types()]:
-            assert type(g._theta) is dict and g._theta == {}
-        readers = (theta, threshold_index, classify_tautological, grassmann_nef_cone)
+            assert type(g._theta) is dict and g._theta == {} and g._oracle is None
+        readers = (theta, threshold_index, classify_tautological, grassmann_nef_cone,
+                   theta_oracle, enumerate_va)
         for read, r in itertools.product(readers, (0, h.rank, "2")):
             with pytest.raises((QuotientRankOutOfRangeError, TypeError)):
                 read(h, r)
-        assert h._theta == {}
+        assert h._theta == {} and h._oracle is None
 
     def test_a_poisoned_theta_table_leaves_the_oracle_alone(self, corpus):
         """The oracle, the trichotomy and the threshold index read no kept
@@ -765,7 +896,7 @@ class TestThetaTable:
         object.__setattr__(h, "_theta", _Poisoned())
         assert (h == fresh, hash(h), repr(h)) == (True, hash(fresh), repr(fresh))
         for twin in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
-            assert twin == h and twin._theta == {}
+            assert twin == h and twin._theta == {} and twin._oracle is None
             assert theta(twin, 2) == theta(fresh, 2)
             assert grassmann_nef_cone(twin, 3) == grassmann_nef_cone(fresh, 3)
 

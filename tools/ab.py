@@ -18,6 +18,22 @@ collector's pauses out of the spread.  ``--gc`` keeps the collector on, as
 bench/run.py does, for changes to what ops allocate; it adds one line per
 side with the collector's time inside the ops, read from ``gc.callbacks``,
 and its share of op time.
+
+``--count N`` counts instead of timing, with the collector off:
+
+    python3 tools/ab.py PARENT CHANGE --workload verify --seed 7 --rounds 1 --count 1500
+
+Each round runs every side over the whole pool with ``Fraction.__new__``
+wrapped in a counter, then over the pool's first N ops again (from a fresh
+``begin_pass``) under ``sys.settrace`` with ``f_trace_opcodes``, counting
+the opcodes and Python calls (a generator's resumption is one) of flagnef,
+of ``fractions`` and of all other code.  It prints each side's totals, the
+B/A and A'/A ratios and ``Fraction.__new__`` calls per pass.  A side's
+counts repeat exactly from run to run, so a change of 1% shows.  They are
+not times: work done in C is not counted (big-int arithmetic,
+``math.comb``/``gcd``, json's C scanner, ``str(int)``, the collector), and
+an opcode's cost varies, so counts back timed pairs and never replace them.
+``--count`` refuses ``--gc``.
 """
 
 import argparse
@@ -27,6 +43,7 @@ import os
 import random
 import statistics
 import sys
+from fractions import Fraction
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -90,6 +107,105 @@ def run_pass(wl, mods, pool, keep_gc=False):
     return times, digests, in_ops
 
 
+PARTS = ("flagnef", "fractions", "other")
+
+
+def count_pass(wl, mods, pool, ops):
+    """``(digests, fraction_news, opcodes, calls)`` of one side on one pool:
+    the output digests and ``Fraction.__new__`` calls of the whole pass, and
+    the opcodes and calls of each of PARTS over its first ``ops`` ops."""
+    sys.modules.update(mods)
+    fl = mods["flagnef"]
+    src = os.path.dirname(os.path.dirname(fl.__file__)) + os.sep
+    fractions_file = sys.modules["fractions"].__file__
+    news, new = [0], vars(Fraction)["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        news[0] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    opcodes, calls, part_of = [0] * len(PARTS), [0] * len(PARTS), {}
+
+    def tracer_of(k):
+        def local(frame, event, arg):
+            if event == "opcode":
+                opcodes[k] += 1
+            return local
+        return local
+
+    tracers = [tracer_of(k) for k in range(len(PARTS))]
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        k = part_of.get(code)
+        if k is None:
+            name = code.co_filename
+            part_of[code] = k = 0 if name.startswith(src) else 1 if name == fractions_file else 2
+        calls[k] += 1
+        frame.f_trace_opcodes = True
+        return tracers[k]
+
+    gc.collect()
+    gc.disable()
+    try:
+        Fraction.__new__ = staticmethod(counting)
+        try:
+            state = wl.begin_pass(fl)
+            digests = [hash(repr(wl.op(fl, x, state))) for x in pool]
+        finally:
+            Fraction.__new__ = new
+        state = wl.begin_pass(fl)
+        for x in pool[:ops]:
+            sys.settrace(on_call)
+            try:
+                wl.op(fl, x, state)
+            finally:
+                sys.settrace(None)
+    finally:
+        gc.enable()
+    return digests, news[0], opcodes, calls
+
+
+def ratio(b, a):
+    return f"{b / a:.4f}" if a else "-"
+
+
+def report_counts(args, names, pool_of, wl, mods):
+    """The ``--count`` run: each side's counts summed over the rounds."""
+    totals = {side: [0, [0] * len(PARTS), [0] * len(PARTS)] for side in names}
+    differ = 0
+    for k in range(args.rounds):
+        pool, digests = pool_of(k), []
+        for side in names[k % 3:] + names[:k % 3]:
+            outs, news, opcodes, calls = count_pass(wl, mods[side], pool, args.count)
+            digests.append(outs)
+            total = totals[side]
+            total[0] += news
+            total[1] = [x + y for x, y in zip(total[1], opcodes)]
+            total[2] = [x + y for x, y in zip(total[2], calls)]
+        differ += sum(len(set(ops)) > 1 for ops in zip(*digests))
+        print(f"round {k + 1}: {len(pool)} ops, {min(args.count, len(pool))} counted")
+
+    def parts(show):
+        return ", ".join(f"{part} {show(i)}" for i, part in enumerate(PARTS))
+
+    for side in names:
+        news, opcodes, calls = totals[side]
+        print(f"{side}: {sum(opcodes)} opcodes ({parts(opcodes.__getitem__)}), "
+              f"{sum(calls)} calls ({parts(calls.__getitem__)}), "
+              f"{news / args.rounds:.0f} Fraction.__new__ per pass")
+    base = totals["A"]
+    for side in ("B", "A'"):
+        news, opcodes, calls = totals[side]
+        print(f"{side}/A: opcodes {ratio(sum(opcodes), sum(base[1]))} "
+              f"({parts(lambda i: ratio(opcodes[i], base[1][i]))}), "
+              f"calls {ratio(sum(calls), sum(base[2]))} "
+              f"({parts(lambda i: ratio(calls[i], base[2][i]))}), "
+              f"Fraction.__new__ {ratio(news, base[0])}")
+    print(f"outputs differing: {differ}")
+    return 1 if differ else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -100,7 +216,11 @@ def main(argv=None):
     parser.add_argument("--smoke", action="store_true", help="tiny inputs")
     parser.add_argument("--gc", action="store_true",
                         help="keep the collector on and print its time on each side")
+    parser.add_argument("--count", type=int, metavar="N",
+                        help="count opcodes and calls over each pool's first N ops instead of timing")
     args = parser.parse_args(argv)
+    if args.count is not None and args.gc:
+        parser.error("--count counts with the collector off; it cannot take --gc")
     wl = workloads.make(args.workload, args.smoke)
     names = ["A", "B", "A'"]
     mods = {side: load(root, wl.modules)
@@ -114,6 +234,8 @@ def main(argv=None):
     for side in names:
         sys.modules.update(mods[side])
         wl.warm_up(mods[side]["flagnef"], first)
+    if args.count is not None:
+        return report_counts(args, names, pool_of, wl, mods)
     by_op = {side: {} for side in names}
     ratios = {"B": [], "A'": []}
     gc_s, op_s = dict.fromkeys(names, 0.0), dict.fromkeys(names, 0.0)
