@@ -14,8 +14,9 @@ Values do not change once built, except the two private slots of a type
 (see :class:`HNType`), which equality, hashing, ``repr``, copying and
 pickling never read.  A fill is idempotent: it adds an entry whose value its
 key fixes, or binds ``_oracle`` to a new tuple instead of mutating one.  So
-small types may share the oracle's slope dict, process-wide, with every type
-of the same slope denominator (see :mod:`flagnef.theta`).  A tuple that a
+a small rational may be shared, process-wide, by every type that reads it:
+the closed form's values and the oracle's slopes each have their own store,
+bounded by its keys (see :mod:`flagnef.theta`).  A tuple that a
 concurrent bind drops is only built again (equal, if not the same object),
 and a bound block table never changes (its callers get copies), so every
 operation, a pure function, is safe for unrestricted concurrent use.  Pieces
@@ -28,6 +29,7 @@ cones) is packed with ``tuple.__new__``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, NamedTuple
@@ -44,12 +46,24 @@ from .errors import (
 )
 
 
+# A decimal with an exponent, as Fraction reads one: group 1 is the exponent.
+_EXPONENT_DECIMAL = re.compile(r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+                               r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
 def as_fraction(value: int | str | Fraction) -> Fraction:
-    """Coerce ``value`` to an exact rational.  Floats are rejected."""
+    """Coerce ``value`` to an exact rational.  Floats are rejected, and so is
+    a string whose decimal exponent passes ``DIGIT_LIMIT`` in magnitude,
+    before Fraction builds its power of 10."""
     if type(value) is Fraction:  # immutable: no copy
         return value
     if isinstance(value, str):  # isdecimal(): the digits (Unicode Nd) Fraction reads as \d
-        return Fraction(int(value)) if value.isdecimal() else Fraction(value)
+        if value.isdecimal():
+            return Fraction(int(value))
+        exponent = ("e" in value or "E" in value) and _EXPONENT_DECIMAL.fullmatch(value)
+        if exponent and abs(int(exponent[1])) > DIGIT_LIMIT:
+            raise LimitExceededError(f"a decimal exponent must lie in [-{DIGIT_LIMIT}, {DIGIT_LIMIT}]")
+        return Fraction(value)
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact computations")
     return Fraction(value)

@@ -22,7 +22,6 @@ least slope is theta.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -62,6 +61,27 @@ class VaBundle(NamedTuple):
     slope_sum: Fraction
 
 
+# A rational num/den is shared process-wide exactly when den < _SHARED_DEN and
+# |num| < _SHARED_NUM, since the corpus's types repeat few small values.  The
+# key space bounds each store at 15 * 255 = 3825 Fractions, whatever order the
+# calls come in, and a key fixes its value, so any reader may add to a store
+# without a lock.  The closed form and the oracle keep separate stores, laid
+# out {den: {num: Fraction}}, so that the two still check each other.  The
+# closed form tests the rule inline where it builds a value, so that a value
+# it does not share costs no call (a call per value built counted 1.1% more
+# opcodes on sweep).
+_SHARED_DEN, _SHARED_NUM = 16, 128
+_SHARED_THETAS: dict[int, dict[int, Fraction]] = {}
+_SHARED_SLOPES: dict[int, dict[int, Fraction]] = {}
+
+
+def _shared(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` of a small num/den (den > 0), from the closed
+    form's store, where it is built once."""
+    kept = _SHARED_THETAS.setdefault(den, {})
+    return kept[num] if num in kept else kept.setdefault(num, Fraction(num, den))
+
+
 def _theta_value(h: HNType, r: int) -> tuple[int, int, int, Fraction]:
     """``(k, num, r_t, value)``: the first polygon vertex k whose rank
     reaches r (the edge into it is piece t), theta as ``num`` over
@@ -77,7 +97,8 @@ def _theta_value(h: HNType, r: int) -> tuple[int, int, int, Fraction]:
     num = (r - tail_rank) * (degrees[k] - tail_degree) + tail_degree * r_t
     value = h._theta.get(r)
     if value is None:
-        h._theta[r] = value = Fraction(num, r_t)
+        h._theta[r] = value = (_shared(num, r_t) if abs(num) < _SHARED_NUM and r_t < _SHARED_DEN
+                               else Fraction(num, r_t))
     return k, num, r_t, value
 
 
@@ -95,7 +116,9 @@ def theta(h: HNType, r: int) -> ThetaBreakdown:
     t = len(ranks) - k
     mu = h._theta.get(-t)
     if mu is None:
-        h._theta[-t] = mu = Fraction(degrees[k] - tail_degree, r_t)
+        d_t = degrees[k] - tail_degree
+        h._theta[-t] = mu = (_shared(d_t, r_t) if abs(d_t) < _SHARED_NUM and r_t < _SHARED_DEN
+                             else Fraction(d_t, r_t))
     return tuple.__new__(ThetaBreakdown, (r, t, tail_rank, tail_degree, r - tail_rank, mu, value))
 
 
@@ -141,18 +164,6 @@ def _bounded_compositions(caps: tuple[int, ...], weights: tuple[int, ...],
         rest -= 1
 
 
-# Slope tables shared process-wide by the small types of one den, since the
-# corpus's types repeat few dens and slope sums.  A key fixes its value, so
-# any reader may add to a table.  The module keeps at most _SHARED_DENS dens;
-# a table renewed once it holds _SLOPES_PER_DEN slopes keeps at most that
-# many plus what the types that borrowed it before then add, at most
-# _WHOLE_TABLE_BLOCKS each.
-_SHARED_DENS = 16
-_SLOPES_PER_DEN = 128
-_SHARED_SLOPES: dict[int, dict[int, Fraction]] = {}
-_SHARED_LOCK = threading.Lock()  # the caps hold under threads too
-
-
 def _oracle_data(h: HNType, r: int) -> tuple[tuple[int, ...], tuple[int, ...], int, list[int],
                                               dict[int, Fraction], list[list[VaBundle]] | None]:
     """``(ranks, weights, den, best, slopes, table)`` of h, kept in its
@@ -161,23 +172,21 @@ def _oracle_data(h: HNType, r: int) -> tuple[tuple[int, ...], tuple[int, ...], i
     integers; ``best`` is the oracle's row (``[0]`` until
     :func:`theta_oracle` grows it); ``slopes`` maps each slope numerator
     read so far to its ``Fraction(num, den)``, so each slope is built once;
-    ``table`` is :func:`enumerate_va`'s block table, or None.  A type of at
-    most ``_WHOLE_TABLE_BLOCKS`` blocks borrows the ``slopes`` dict of its
-    den from ``_SHARED_SLOPES``, or a fresh one that replaces it if it is
-    full; a larger type, or a den past the module's cap, gets a private one."""
+    ``table`` is :func:`enumerate_va`'s block table, or None.  Every slope
+    numerator that the row or a block reads is at most sum(r_i * |w_i|) in
+    magnitude, so when that is below ``_SHARED_NUM`` and den is below
+    ``_SHARED_DEN``, the type borrows the ``slopes`` dict of its den from the
+    oracle's store; any other type gets a private one."""
     data = getattr(h, "_oracle", None)
-    ranks = data[0] if data else tuple(p.rank for p in h.pieces)
-    _require_quotient_rank(sum(ranks), r)
+    ranks, degrees = zip(*h.pieces) if data is None else (data[0], None)
+    if type(r) is not int or not 0 < r < sum(ranks):  # an exact int in range skips the check
+        _require_quotient_rank(sum(ranks), r)
     if data is None:
         den, slopes = math.lcm(*ranks), {}
-        if math.prod(c + 1 for c in ranks) <= _WHOLE_TABLE_BLOCKS:
-            with _SHARED_LOCK:
-                kept = _SHARED_SLOPES.get(den)
-                if kept is not None and len(kept) < _SLOPES_PER_DEN:
-                    slopes = kept
-                elif kept is not None or len(_SHARED_SLOPES) < _SHARED_DENS:
-                    _SHARED_SLOPES[den] = slopes
-        data = ranks, tuple(p.degree * (den // p.rank) for p in h.pieces), den, [0], slopes, None
+        # w_i = d_i * den / r_i, so sum(r_i * |w_i|) = den * sum(|d_i|)
+        if den < _SHARED_DEN and den * sum(map(abs, degrees)) < _SHARED_NUM:
+            slopes = _SHARED_SLOPES.setdefault(den, {})
+        data = ranks, tuple(d * (den // c) for c, d in zip(ranks, degrees)), den, [0], slopes, None
         object.__setattr__(h, "_oracle", data)
     return data
 

@@ -82,6 +82,15 @@ def shared_slopes(monkeypatch):
 
 
 @pytest.fixture
+def shared_thetas(monkeypatch):
+    """A fresh, empty process-wide store of the closed form's small values,
+    in place while the test runs."""
+    store = {}
+    monkeypatch.setattr(importlib.import_module("flagnef.theta"), "_SHARED_THETAS", store)
+    return store
+
+
+@pytest.fixture
 def fraction_reads(monkeypatch):
     """The name of every read of the ``Fraction.numerator`` and
     ``.denominator`` properties made while the test runs, in order."""

@@ -64,10 +64,12 @@ def count(*args):
 
 
 def totals(line):
-    """``(opcodes, calls, Fraction.__new__)`` parts of one side's count line."""
+    """``(opcodes, calls, Fraction.__new__, tracked objects)`` parts of one
+    side's count line."""
     match = re.fullmatch(r"(\S+): (\d+) opcodes \(flagnef (\d+), fractions (\d+), other (\d+)\), "
                          r"(\d+) calls \(flagnef (\d+), fractions (\d+), other (\d+)\), "
-                         r"(\d+) Fraction.__new__ per pass", line)
+                         r"(\d+) Fraction.__new__ per pass, (-?\d+) tracked objects left by 2 passes",
+                         line)
     values = list(map(int, match.groups()[1:]))
     assert values[0] == sum(values[1:4]) and values[4] == sum(values[5:8])
     return match[1], values
@@ -83,6 +85,8 @@ def test_counts_repeat_exactly(workload):
     sides = [totals(line) for line in lines[2:5]]
     assert [side for side, _ in sides] == ["A", "B", "A'"]
     assert sides[0][1] == sides[1][1] == sides[2][1] and sides[0][1][0] > 0
+    assert sides[0][1][9] > 0  # the module's shared stores keep what the passes add
+    assert lines[5].endswith(", tracked objects left 1.0000")
     assert lines[-1] == "outputs differing: 0"
 
 

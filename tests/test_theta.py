@@ -376,9 +376,22 @@ class TestBlockTable:
 
 
 class TestSharedSlopes:
-    """Types of at most ``_WHOLE_TABLE_BLOCKS`` blocks borrow the slope dict
-    of their den from the module's store, which keeps at most
-    ``_SHARED_DENS`` dens and renews a den's dict once it is full."""
+    """A rational num/den is shared process-wide exactly when den < 16 and
+    |num| < 128: the closed form keeps such values in its own store, and a
+    type whose slope numerators are bounded so, by sum(r_i * |w_i|) < 128,
+    borrows the oracle's slope dict of its den."""
+
+    THETA = importlib.import_module("flagnef.theta")
+
+    @staticmethod
+    def small_keys_only(*stores):
+        """Each store is laid out {den: {num: Fraction(num, den)}} with den
+        < 16 and |num| < 128."""
+        for store in stores:
+            for den, kept in store.items():
+                assert 0 < den < 16, den
+                for num, value in kept.items():
+                    assert -128 < num < 128 and value == Fraction(num, den), (den, num, value)
 
     @staticmethod
     def read_all(h):
@@ -408,46 +421,6 @@ class TestSharedSlopes:
         assert sorted(shared_slopes) == [2, 4]
         assert shared_slopes[2][1] == Fraction(1, 2) and shared_slopes[4][1] == Fraction(1, 4)
 
-    def test_the_caps_bound_what_the_module_keeps(self, shared_slopes, monkeypatch):
-        """With 2 dens of 4 slopes: a type borrows only a dict below 4 slopes,
-        the store never holds more than 2 dens, and each kept dict holds at
-        most 3 slopes plus what the last type that borrowed it added."""
-        module = importlib.import_module("flagnef.theta")
-        monkeypatch.setattr(module, "_SHARED_DENS", 2)
-        monkeypatch.setattr(module, "_SLOPES_PER_DEN", 4)
-        added, dicts, private = {}, {}, 0
-        for pieces in [h.pieces for h in iter_hn_types(6, 4) if h.rank > 1][::11]:
-            h = make_hn_type(pieces)
-            _oracle_data(h, 1)
-            den, slopes = h._oracle[2], h._oracle[4]
-            before = len(slopes)
-            self.read_all(h)
-            if shared_slopes.get(den) is slopes:
-                assert before < 4, (pieces, before)
-                added[den] = len(slopes) - before
-                dicts[id(slopes)] = slopes  # kept alive, so no id is reused
-            else:
-                private += 1
-                assert len(shared_slopes) == 2 and den not in shared_slopes
-            assert len(shared_slopes) <= 2
-            assert all(len(kept) - added[d] < 4 for d, kept in shared_slopes.items())
-        assert private and len(dicts) > 100  # dens past the cap, and renewals
-
-    def test_a_large_type_keeps_a_private_dict(self, shared_slopes):
-        """12 rank-1 pieces have 2**12 blocks, the bound, and borrow; with a
-        rank-2 piece below them they do not, and neither do larger pieces."""
-        small = make_hn_type([(1, 30 - 2 * i) for i in range(12)])
-        theta_oracle(small, 1)
-        assert small._oracle[4] is shared_slopes[1]
-        kept = dict(shared_slopes[1])
-        for rank in (2, 1):  # 3**13 and 3 * 2**12 blocks, both of den 2
-            large = make_hn_type([(rank, 29 - 2 * i) for i in range(12)] + [(2, -1)])
-            assert large._oracle is None
-            assert [theta_oracle(large, r) for r in (1, 2)] == [-Fraction(1, 2), -1]
-            assert large._oracle[2] == 2 and all(large._oracle[4] is not d
-                                                 for d in shared_slopes.values())
-        assert shared_slopes == {1: kept}
-
     def test_poisoned_shared_tables_leave_theta_and_the_cones_alone(self, corpus, monkeypatch):
         """The closed form and both cones read no shared slope: every den of
         the corpus (ranks <= 6, so dens 1..6) borrows a poisoned dict."""
@@ -464,17 +437,91 @@ class TestSharedSlopes:
                 assert grassmann_nef_cone(g, r).theta_used == expected
                 assert flag_nef_cone(g, flag).thetas_used[r - 1] == expected
 
-    def test_threads_renewing_small_caps(self, shared_slopes, monkeypatch):
-        """Four threads read the same fresh types at every r while the
-        store's dicts fill and renew: every answer matches the brute force,
-        and the store never holds more than its dens."""
-        module = importlib.import_module("flagnef.theta")
-        monkeypatch.setattr(module, "_SHARED_DENS", 2)
-        monkeypatch.setattr(module, "_SLOPES_PER_DEN", 4)
+    def test_the_corpus_keeps_only_small_keys(self, corpus, shared_slopes, shared_thetas):
+        """Fresh copies of every corpus type, read at every r, fill both
+        stores with small keys only, and the closed form, read from its
+        store, agrees with the oracle, read from the other."""
+        for h in corpus:
+            g = make_hn_type(h.pieces)
+            for r in range(1, g.rank):
+                bd = theta(g, r)
+                assert bd.theta == theta_oracle(g, r) and bd.mu_t == h.pieces[bd.t - 1].slope
+                assert min(b.slope_sum for b in enumerate_va(g, r)) == bd.theta
+        assert sorted(shared_thetas) == sorted(shared_slopes) == [1, 2, 3, 4, 5, 6]
+        self.small_keys_only(shared_thetas, shared_slopes)
+
+    @given(hn_types_with_r(max_pieces=4, piece_rank=6, degree_bound=70))
+    def test_random_types_keep_only_small_keys(self, h_r):
+        """Types whose values run past the bound, read at every r, leave
+        the module's stores as they must be at any time."""
+        h = make_hn_type(h_r[0].pieces)
+        for r in range(1, h.rank):
+            assert theta(h, r).theta == theta_oracle(h, r) == brute_min_slope_sum(h, r)
+        self.small_keys_only(self.THETA._SHARED_THETAS, self.THETA._SHARED_SLOPES)
+
+    @pytest.mark.parametrize("pieces, shared", [
+        ([(15, 1)], True), ([(2, 127)], True), ([(2, -127)], True),
+        ([(16, 1)], False), ([(2, 128)], False), ([(2, -128)], False)],
+        ids=["den-15", "num-127", "num--127", "den-16", "num-128", "num--128"])
+    def test_a_small_theta_is_one_object_for_every_type(self, shared_thetas, pieces, shared):
+        """theta(1) and mu_1 of one piece (n, d) are d / n: one object for
+        two types when n < 16 and |d| < 128, and a fresh one per type
+        otherwise."""
+        h, g = make_hn_type(pieces), make_hn_type(pieces)
+        ours, theirs = theta(h, 1), theta(g, 1)
+        assert ours.theta == theirs.theta == ours.mu_t == Fraction(pieces[0][1], pieces[0][0])
+        assert (ours.theta is theirs.theta) == (ours.mu_t is theirs.mu_t) == shared
+        assert (shared_thetas != {}) == shared
+        self.small_keys_only(shared_thetas)
+
+    def test_two_types_with_one_small_theta_share_it_apart_from_the_oracle(self):
+        """theta(1) = -1/2 of both types is one object, from the closed
+        form's process-wide store as it is (no fixture replaces it, so two
+        stores bound to one object show); the oracle's -1/2, over the same
+        den, is another object, from its own store."""
+        h, g = make_hn_type([(2, 1), (2, -1)]), make_hn_type([(3, 5), (2, -1)])
+        assert theta(h, 1).theta is theta(g, 1).theta and theta(h, 1).mu_t is theta(g, 1).mu_t
+        assert theta_oracle(h, 1) == theta(h, 1).theta == Fraction(-1, 2)
+        assert theta_oracle(h, 1) is not theta(h, 1).theta
+        assert self.THETA._SHARED_THETAS is not self.THETA._SHARED_SLOPES
+
+    @pytest.mark.parametrize("pieces, den, shared", [
+        ([(1, 64), (1, -63)], 1, True), ([(1, 64), (1, -64)], 1, False),
+        ([(2, 1), (1, -62)], 2, True), ([(2, 1), (1, -63)], 2, False),
+        ([(15, 1)], 15, True), ([(16, 1)], 16, False)],
+        ids=["sum-127", "sum-128", "sum-126-den-2", "sum-128-den-2", "den-15", "den-16"])
+    def test_the_oracle_shares_below_the_bound_of_its_numerators(self, shared_slopes, pieces,
+                                                                 den, shared):
+        """sum(r_i * |w_i|) is 127 or 126 for the shared pairs, 128 for the
+        others, whose weights stay below 128 (the den-2 pair's are 1 and
+        -126), and 15 or 16 for one piece over den 15 or 16."""
+        h = make_hn_type(pieces)
+        self.read_all(h)
+        assert h._oracle[2] == den and (h._oracle[4] is shared_slopes.get(den)) == shared
+        assert (den in shared_slopes) == shared
+        self.small_keys_only(shared_slopes)
+
+    def test_a_poisoned_closed_form_store_leaves_the_oracle_alone(self, corpus, monkeypatch):
+        """Every den of the corpus (ranks <= 6, so dens 1..6) has a poisoned
+        closed-form dict: theta reads it for each small value, and the
+        oracle and the block walk still give the brute-force answers."""
+        monkeypatch.setattr(self.THETA, "_SHARED_THETAS", {den: _Poisoned() for den in range(1, 7)})
+        for h in [h for h in corpus if h.rank > 1][::10]:
+            g = make_hn_type(h.pieces)
+            for r in range(1, g.rank):
+                _, num, _, value = _theta_value(g, r)
+                assert (value is POISON) == (-128 < num < 128)
+                assert theta_oracle(g, r) == brute_min_slope_sum(h, r)
+                assert [tuple(b) for b in enumerate_va(g, r)] == brute_blocks(h, r)
+
+    def test_threads_sharing_fresh_stores(self, shared_slopes, shared_thetas):
+        """Four threads read the same fresh types at every r while both
+        stores fill: every answer matches the brute force, and the stores
+        keep only small keys."""
         corpus = [h for h in iter_hn_types(5, 3) if h.rank > 1]
         want = [[(brute_min_slope_sum(h, r), brute_blocks(h, r)) for r in range(1, h.rank)]
                 for h in corpus]
-        types, sizes = [make_hn_type(h.pieces) for h in corpus], []
+        types = [make_hn_type(h.pieces) for h in corpus]
         start, errors = threading.Barrier(4, timeout=30), []
 
         def work(descending):
@@ -483,10 +530,11 @@ class TestSharedSlopes:
                 for h, rows in zip(types, want):
                     rs = range(h.rank - 1, 0, -1) if descending else range(1, h.rank)
                     for r in rs:
-                        got = (theta_oracle(h, r), [tuple(b) for b in enumerate_va(h, r)])
-                        if got != rows[r - 1]:
+                        value = rows[r - 1][0]
+                        got = (theta(h, r).theta, theta_oracle(h, r),
+                               [tuple(b) for b in enumerate_va(h, r)])
+                        if got != (value, value, rows[r - 1][1]):
                             errors.append((h, r, got))
-                    sizes.append(len(shared_slopes))
             except Exception as exc:  # reported below, in the test's thread
                 errors.append(exc)
                 start.abort()
@@ -502,7 +550,8 @@ class TestSharedSlopes:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert errors == [] and max(sizes) <= 2
+        assert errors == [] and shared_thetas and shared_slopes
+        self.small_keys_only(shared_thetas, shared_slopes)
 
 
 class TestBoundedCompositions:

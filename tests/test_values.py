@@ -10,6 +10,8 @@ only another HNType.
 
 import copy
 import pickle
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,7 +45,7 @@ from flagnef import (
     theta,
     theta_oracle,
 )
-from flagnef.hn import PRIME_BOUND, Polygon
+from flagnef.hn import DIGIT_LIMIT, PRIME_BOUND, Polygon
 
 TYPE = make_hn_type([(1, 1), (2, -1)])
 
@@ -338,9 +340,29 @@ class TestAsFraction:
 
     @given(st.text(alphabet="0179\u0663\u00b2_ +-/.e", max_size=8))
     def test_strings_over_a_small_alphabet(self, text):
-        expected = outcome(Fraction, text)
+        """A decimal whose exponent passes DIGIT_LIMIT in magnitude (Fraction
+        reads it once that exponent is 0) is refused, and Fraction, which
+        would build the power, is not called on it."""
         value = outcome(as_fraction, text)
+        exponent = re.fullmatch(r"(.*e[-+]?)(\d+(?:_\d+)*)(\s*)", text)
+        if (exponent and int(exponent[2]) > DIGIT_LIMIT
+                and type(outcome(Fraction, exponent[1] + "0" + exponent[3])) is Fraction):
+            assert value[0] is LimitExceededError
+            return
+        expected = outcome(Fraction, text)
         assert value == expected and type(value) is type(expected)
+
+    def test_a_huge_exponent_is_refused_at_once(self):
+        """Fraction would build 10**9000000 first, in seconds."""
+        start = time.perf_counter()
+        for text in ("0e9000000", " -1.5E+4_301 ", ".1e-4301"):
+            with pytest.raises(LimitExceededError, match=r"exponent must lie in \[-4300, 4300\]"):
+                as_fraction(text)
+        with pytest.raises(LimitExceededError):
+            NSClassGr("0e9000000", 0)
+        assert time.perf_counter() - start < 0.05
+        assert as_fraction("1e-4300") == Fraction(1, 10**4300)
+        assert as_fraction("-2.5E4_300") == -25 * 10**4299
 
 
 class _Rational(Fraction):

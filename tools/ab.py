@@ -28,7 +28,11 @@ wrapped in a counter, then over the pool's first N ops again (from a fresh
 ``begin_pass``) under ``sys.settrace`` with ``f_trace_opcodes``, counting
 the opcodes and Python calls (a generator's resumption is one) of flagnef,
 of ``fractions`` and of all other code.  It prints each side's totals, the
-B/A and A'/A ratios and ``Fraction.__new__`` calls per pass.  A side's
+B/A and A'/A ratios, ``Fraction.__new__`` calls per pass, and the gc-tracked
+objects that the whole passes leave alive once their outputs are dropped
+(what the side's module-level stores keep; an entry that a pass adds to a
+cache of the whole process, such as an ABC's subclass cache, counts on the
+side that runs first, so A may read a few more than A').  A side's
 counts repeat exactly from run to run, so a change of 1% shows.  They are
 not times: work done in C is not counted (big-int arithmetic,
 ``math.comb``/``gcd``, json's C scanner, ``str(int)``, the collector), and
@@ -110,9 +114,21 @@ def run_pass(wl, mods, pool, keep_gc=False):
 PARTS = ("flagnef", "fractions", "other")
 
 
+def settled_count():
+    """The number of gc-tracked objects after collections repeated until it
+    stops changing: one collection untracks a tuple or dict only once what
+    it holds is untracked, so nested ones take several."""
+    count = None
+    while True:
+        gc.collect()
+        if count == (count := len(gc.get_objects())):
+            return count
+
+
 def count_pass(wl, mods, pool, ops):
-    """``(digests, fraction_news, opcodes, calls)`` of one side on one pool:
-    the output digests and ``Fraction.__new__`` calls of the whole pass, and
+    """``(digests, fraction_news, left, opcodes, calls)`` of one side on one
+    pool: the output digests, ``Fraction.__new__`` calls and gc-tracked
+    objects left alive, once its outputs are dropped, of the whole pass, and
     the opcodes and calls of each of PARTS over its first ``ops`` ops."""
     sys.modules.update(mods)
     fl = mods["flagnef"]
@@ -145,15 +161,17 @@ def count_pass(wl, mods, pool, ops):
         frame.f_trace_opcodes = True
         return tracers[k]
 
-    gc.collect()
     gc.disable()
     try:
+        digests, tracked = [], settled_count()
         Fraction.__new__ = staticmethod(counting)
         try:
             state = wl.begin_pass(fl)
-            digests = [hash(repr(wl.op(fl, x, state))) for x in pool]
+            digests.extend(hash(repr(wl.op(fl, x, state))) for x in pool)
+            del state
         finally:
             Fraction.__new__ = new
+        left = settled_count() - tracked
         state = wl.begin_pass(fl)
         for x in pool[:ops]:
             sys.settrace(on_call)
@@ -163,7 +181,7 @@ def count_pass(wl, mods, pool, ops):
                 sys.settrace(None)
     finally:
         gc.enable()
-    return digests, news[0], opcodes, calls
+    return digests, news[0], left, opcodes, calls
 
 
 def ratio(b, a):
@@ -172,17 +190,18 @@ def ratio(b, a):
 
 def report_counts(args, names, pool_of, wl, mods):
     """The ``--count`` run: each side's counts summed over the rounds."""
-    totals = {side: [0, [0] * len(PARTS), [0] * len(PARTS)] for side in names}
+    totals = {side: [0, 0, [0] * len(PARTS), [0] * len(PARTS)] for side in names}
     differ = 0
     for k in range(args.rounds):
         pool, digests = pool_of(k), []
         for side in names[k % 3:] + names[:k % 3]:
-            outs, news, opcodes, calls = count_pass(wl, mods[side], pool, args.count)
+            outs, news, left, opcodes, calls = count_pass(wl, mods[side], pool, args.count)
             digests.append(outs)
             total = totals[side]
             total[0] += news
-            total[1] = [x + y for x, y in zip(total[1], opcodes)]
-            total[2] = [x + y for x, y in zip(total[2], calls)]
+            total[1] += left
+            total[2] = [x + y for x, y in zip(total[2], opcodes)]
+            total[3] = [x + y for x, y in zip(total[3], calls)]
         differ += sum(len(set(ops)) > 1 for ops in zip(*digests))
         print(f"round {k + 1}: {len(pool)} ops, {min(args.count, len(pool))} counted")
 
@@ -190,18 +209,20 @@ def report_counts(args, names, pool_of, wl, mods):
         return ", ".join(f"{part} {show(i)}" for i, part in enumerate(PARTS))
 
     for side in names:
-        news, opcodes, calls = totals[side]
+        news, left, opcodes, calls = totals[side]
         print(f"{side}: {sum(opcodes)} opcodes ({parts(opcodes.__getitem__)}), "
               f"{sum(calls)} calls ({parts(calls.__getitem__)}), "
-              f"{news / args.rounds:.0f} Fraction.__new__ per pass")
+              f"{news / args.rounds:.0f} Fraction.__new__ per pass, "
+              f"{left} tracked objects left by {args.rounds} passes")
     base = totals["A"]
     for side in ("B", "A'"):
-        news, opcodes, calls = totals[side]
-        print(f"{side}/A: opcodes {ratio(sum(opcodes), sum(base[1]))} "
-              f"({parts(lambda i: ratio(opcodes[i], base[1][i]))}), "
-              f"calls {ratio(sum(calls), sum(base[2]))} "
-              f"({parts(lambda i: ratio(calls[i], base[2][i]))}), "
-              f"Fraction.__new__ {ratio(news, base[0])}")
+        news, left, opcodes, calls = totals[side]
+        print(f"{side}/A: opcodes {ratio(sum(opcodes), sum(base[2]))} "
+              f"({parts(lambda i: ratio(opcodes[i], base[2][i]))}), "
+              f"calls {ratio(sum(calls), sum(base[3]))} "
+              f"({parts(lambda i: ratio(calls[i], base[3][i]))}), "
+              f"Fraction.__new__ {ratio(news, base[0])}, "
+              f"tracked objects left {ratio(left, base[1])}")
     print(f"outputs differing: {differ}")
     return 1 if differ else 0
 
@@ -232,8 +253,11 @@ def main(argv=None):
 
     first = wl.warm_up_input(pool_of("warm-up"))
     for side in names:
-        sys.modules.update(mods[side])
-        wl.warm_up(mods[side]["flagnef"], first)
+        if args.count is None:
+            sys.modules.update(mods[side])
+            wl.warm_up(mods[side]["flagnef"], first)
+        else:  # on the counting path, whose one-off set-up in the process would skew one side
+            count_pass(wl, mods[side], [first], 0)
     if args.count is not None:
         return report_counts(args, names, pool_of, wl, mods)
     by_op = {side: {} for side in names}
